@@ -2,7 +2,7 @@ GO ?= go
 
 # Default target: everything CI runs.
 .PHONY: check
-check: build vet lint lint-fix-audit test race smoke
+check: build vet lint lint-fix-audit test race smoke perfbench-check
 
 .PHONY: build
 build:
@@ -11,6 +11,16 @@ build:
 .PHONY: test
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is a Go module of its own (perfbench/, which
+# reaches this module through a replace directive), so `go test ./...`
+# above skips it. Vet and test it separately, in perfbench/run.sh's
+# offline environment, so an API change that breaks the benchmark build
+# fails here rather than at benchmark time.
+.PHONY: perfbench-check
+perfbench-check:
+	cd perfbench && export GOTOOLCHAIN=local GOPROXY=off GOWORK=off && \
+		$(GO) vet ./... && $(GO) test ./...
 
 # The facade package replays every golden trace through many engine
 # configurations; instrumented it needs more than the default 10m.

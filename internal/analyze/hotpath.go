@@ -51,8 +51,11 @@ var telemetryHotFuncs = map[string]bool{
 // applies per packet, or the sharded routing surface (the producer's
 // EmitOps op router and the worker-side Apply/ApplyInv/ApplyAt op
 // appliers — each runs per packet times per stage). EstimateGrid and
-// friends share the Estimate budget, and updateFused/updateLegacy share
-// Observe's, hence the prefix matches; the Apply names are exact so the
+// friends share the Estimate budget, and update-prefixed helpers share
+// Observe's, hence the prefix matches. The recorder's ingestion-core
+// appliers (applyConn/applyService/applyMonitor) are reached through an
+// interface the call graph does not follow, so they carry //hifind:hot
+// instead of matching a name here. The Apply names are exact so the
 // cold rotation-time ApplyTally stitch stays out of the contract. In
 // internal/telemetry the contract covers the sanctioned instrumentation
 // methods instead.

@@ -85,11 +85,15 @@ func (a *Array) SlotSketch(i int) *invsketch.Sketch { return a.slots[i] }
 // Slot maps a timestamp to its slot index. Slots cycle modulo the
 // interval, so the array self-overwrites interval to interval once
 // Reset runs at rotation.
-func (a *Array) Slot(ts time.Time) int {
-	n := ts.UnixNano() / int64(a.cfg.Window)
-	s := int(n % int64(a.cfg.Slots))
+func (a *Array) Slot(ts time.Time) int { return a.cfg.Slot(ts) }
+
+// Slot maps a timestamp to its slot index under this geometry; see
+// Array.Slot.
+func (c Config) Slot(ts time.Time) int {
+	n := ts.UnixNano() / int64(c.Window)
+	s := int(n % int64(c.Slots))
 	if s < 0 {
-		s += a.cfg.Slots
+		s += c.Slots
 	}
 	return s
 }

@@ -35,7 +35,7 @@ func diffCacheRecorders(t *testing.T, seed uint64, entries int) (cached, plain *
 	return cached, plain
 }
 
-// requireSameState is requireIdentical without the engine framing:
+// requireSameState is requireIdentical without the applier framing:
 // cached and cache-less recorders differ in configuration, so the
 // comparison is serialized bytes plus the unserialized totals.
 func requireSameState(t *testing.T, cached, plain *Recorder, label string) {
@@ -160,44 +160,32 @@ func TestCacheConfigMismatchFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestCacheLegacyEngineBypasses: the legacy engine is the differential
-// witness and must stay the plain per-packet path even when the
-// configuration carries a cache.
-func TestCacheLegacyEngineBypasses(t *testing.T) {
-	ccfg := TestRecorderConfig(0x1e9a)
-	ccfg.FlowCache = 64
-	cached, err := NewRecorder(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached.SetEngine(EngineLegacy)
-	plain, err := NewRecorder(TestRecorderConfig(0x1e9a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.SetEngine(EngineLegacy)
+// TestCacheReferenceBypasses: the reference applier is the
+// differential witness and must stay the plain per-packet path even
+// when the configuration carries a cache.
+func TestCacheReferenceBypasses(t *testing.T) {
+	cached, plain := diffCacheRecorders(t, 0x1e9a, 64)
 	events := diffStream(21, 2000)
-	feed(cached, events)
-	feed(plain, events)
+	feedReference(cached, events)
+	feedReference(plain, events)
 	if st := cached.CacheStats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("legacy engine routed %d adds through the cache", st.Hits+st.Misses)
+		t.Fatalf("reference path routed %d adds through the cache", st.Hits+st.Misses)
 	}
-	requireSameState(t, cached, plain, "legacy-bypass")
+	requireSameState(t, cached, plain, "reference-bypass")
 }
 
-// TestCacheSetEngineFlushes: switching engines mid-stream drains the
-// cache first, so no aggregate recorded under the fused engine is lost.
-func TestCacheSetEngineFlushes(t *testing.T) {
+// TestCacheReferenceMidStream: reference updates recorded while cached
+// aggregates are still pending land beside them, and the final state
+// matches a cache-less recorder fed the same mixed stream.
+func TestCacheReferenceMidStream(t *testing.T) {
 	cached, plain := diffCacheRecorders(t, 0x5e7e, 64)
 	pre := diffStream(31, 2000)
 	feed(cached, pre)
 	feed(plain, pre)
-	cached.SetEngine(EngineLegacy)
-	plain.SetEngine(EngineLegacy)
 	post := diffStream(32, 2000)
-	feed(cached, post)
-	feed(plain, post)
-	requireSameState(t, cached, plain, "engine-switch")
+	feedReference(cached, post)
+	feedReference(plain, post)
+	requireSameState(t, cached, plain, "reference-mid-stream")
 }
 
 // TestCacheDifferentialDetectorAlerts runs the full detector (all three
@@ -308,7 +296,7 @@ func TestCacheMarshalRoundTripKeepsRecording(t *testing.T) {
 	}
 	// MarshalBinary does not carry the access budget; align it so the
 	// post-restore comparison still pins the exact accounting.
-	restored.memoryAccesses = plain.MemoryAccesses()
+	restored.in.accesses = plain.MemoryAccesses()
 	post := diffStream(12, 1000)
 	feed(restored, post)
 	feed(plain, post)

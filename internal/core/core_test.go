@@ -21,6 +21,12 @@ func testDetector(t *testing.T) *Detector {
 // per-interval results.
 func runTrace(t *testing.T, d *Detector, cfg trace.Config) []IntervalResult {
 	t.Helper()
+	return runTraceVia(t, d, cfg, d.Observe)
+}
+
+// runTraceVia is runTrace with every packet recorded through observe.
+func runTraceVia(t *testing.T, d *Detector, cfg trace.Config, observe func(netmodel.Packet)) []IntervalResult {
+	t.Helper()
 	g, err := trace.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +38,7 @@ func runTrace(t *testing.T, d *Detector, cfg trace.Config) []IntervalResult {
 			t.Fatal(err)
 		}
 		for _, p := range pkts {
-			d.Observe(p)
+			observe(p)
 		}
 		res, err := d.EndInterval()
 		if err != nil {

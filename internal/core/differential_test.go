@@ -1,13 +1,13 @@
 package core
 
-// Differential harness for the fused update engine: every test drives
-// the fused and legacy paths with identical input and requires the
-// complete serialized recorder state — every sketch counter, every
-// Bloom bit, every total — to match byte for byte. The legacy engine is
-// the independently written reference (per-sketch hashing, per-SYN
-// NetFlow replay), so agreement here proves the fused engine's shared
-// hash powers, bucket plans and weighted updates change nothing but
-// speed.
+// Differential harness for the direct applier: every test drives
+// Observe/ObserveFlow and ObserveReference/ObserveFlowReference with
+// identical input and requires the complete serialized recorder state —
+// every sketch counter, every Bloom bit, every total — to match byte for
+// byte. The reference applier is the independently written witness
+// (per-sketch hashing, per-SYN NetFlow replay), so agreement here proves
+// the direct applier's shared hash powers, bucket plans and weighted
+// updates change nothing but speed.
 
 import (
 	"bytes"
@@ -19,26 +19,23 @@ import (
 	"github.com/hifind/hifind/internal/trace"
 )
 
-// diffRecorders builds one fused and one legacy recorder on the same
-// configuration.
-func diffRecorders(t *testing.T, seed uint64) (fused, legacy *Recorder) {
+// diffRecorders builds two recorders on the same configuration: one
+// fed through the direct applier (feed), one through the reference
+// applier (feedReference).
+func diffRecorders(t *testing.T, seed uint64) (direct, ref *Recorder) {
 	t.Helper()
 	cfg := TestRecorderConfig(seed)
 	var err error
-	if fused, err = NewRecorder(cfg); err != nil {
+	if direct, err = NewRecorder(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if legacy, err = NewRecorder(cfg); err != nil {
+	if ref, err = NewRecorder(cfg); err != nil {
 		t.Fatal(err)
 	}
-	legacy.SetEngine(EngineLegacy)
-	if fused.Engine() != EngineFused || legacy.Engine() != EngineLegacy {
-		t.Fatal("engine selection did not stick")
-	}
-	return fused, legacy
+	return direct, ref
 }
 
-// diffEvent is one observation fed identically to both engines.
+// diffEvent is one observation fed identically to both paths.
 type diffEvent struct {
 	pkt    netmodel.Packet
 	flow   netmodel.FlowRecord
@@ -99,100 +96,104 @@ func feed(r *Recorder, events []diffEvent) {
 	}
 }
 
+// feedReference is feed through the reference applier.
+func feedReference(r *Recorder, events []diffEvent) {
+	for _, e := range events {
+		if e.isFlow {
+			r.ObserveFlowReference(e.flow)
+		} else {
+			r.ObserveReference(e.pkt)
+		}
+	}
+}
+
 // requireIdentical compares the full serialized state plus the counters
 // MarshalBinary does not carry.
-func requireIdentical(t *testing.T, fused, legacy *Recorder, label string) {
+func requireIdentical(t *testing.T, direct, ref *Recorder, label string) {
 	t.Helper()
-	fb, err := fused.MarshalBinary()
+	fb, err := direct.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := legacy.MarshalBinary()
+	lb, err := ref.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fb, lb) {
-		t.Fatalf("%s: fused and legacy serialized state diverged (%d vs %d bytes)",
+		t.Fatalf("%s: direct and reference serialized state diverged (%d vs %d bytes)",
 			label, len(fb), len(lb))
 	}
-	if fused.Packets() != legacy.Packets() {
-		t.Fatalf("%s: packets %d vs %d", label, fused.Packets(), legacy.Packets())
+	if direct.Packets() != ref.Packets() {
+		t.Fatalf("%s: packets %d vs %d", label, direct.Packets(), ref.Packets())
 	}
-	if fused.MemoryAccesses() != legacy.MemoryAccesses() {
-		t.Fatalf("%s: memory accesses %d vs %d", label, fused.MemoryAccesses(), legacy.MemoryAccesses())
+	if direct.MemoryAccesses() != ref.MemoryAccesses() {
+		t.Fatalf("%s: memory accesses %d vs %d", label, direct.MemoryAccesses(), ref.MemoryAccesses())
 	}
 }
 
-// TestDifferentialSequential drives both engines with identical mixed
+// TestDifferentialSequential drives both paths with identical mixed
 // packet/flow streams across several seeds and requires byte-identical
 // state.
 func TestDifferentialSequential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 42} {
 		events := diffStream(seed, 4000)
-		fused, legacy := diffRecorders(t, 0xd1ff)
-		feed(fused, events)
-		feed(legacy, events)
-		requireIdentical(t, fused, legacy, "sequential")
+		direct, ref := diffRecorders(t, 0xd1ff)
+		feed(direct, events)
+		feedReference(ref, events)
+		requireIdentical(t, direct, ref, "sequential")
 	}
 }
 
-// TestDifferentialEgress covers the direction-flipped orientation,
-// where ObserveFlow rewrites the record before the weighted update.
+// TestDifferentialEgress covers the direction-flipped orientation.
 func TestDifferentialEgress(t *testing.T) {
 	cfg := TestRecorderConfig(0xe9e9)
 	cfg.Orientation = Egress
-	fused, err := NewRecorder(cfg)
+	direct, err := NewRecorder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := NewRecorder(cfg)
+	ref, err := NewRecorder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.SetEngine(EngineLegacy)
 	events := diffStream(9, 4000)
-	feed(fused, events)
-	feed(legacy, events)
-	requireIdentical(t, fused, legacy, "egress")
+	feed(direct, events)
+	feedReference(ref, events)
+	requireIdentical(t, direct, ref, "egress")
 }
 
 // TestDifferentialCombine splits one stream across three "routers" per
-// engine, merges each engine's routers with COMBINE, and requires the
+// path, merges each path's routers with COMBINE, and requires the
 // aggregates to be byte-identical — the multi-router path.
 func TestDifferentialCombine(t *testing.T) {
 	const routers = 3
 	events := diffStream(7, 6000)
-	var fusedR, legacyR []*Recorder
+	var directR, refR []*Recorder
 	for i := 0; i < routers; i++ {
 		f, l := diffRecorders(t, 0xc0fe)
-		fusedR, legacyR = append(fusedR, f), append(legacyR, l)
+		directR, refR = append(directR, f), append(refR, l)
 	}
 	for i, e := range events {
 		r := i % routers
 		if e.isFlow {
-			fusedR[r].ObserveFlow(e.flow)
-			legacyR[r].ObserveFlow(e.flow)
+			directR[r].ObserveFlow(e.flow)
+			refR[r].ObserveFlowReference(e.flow)
 		} else {
-			fusedR[r].Observe(e.pkt)
-			legacyR[r].Observe(e.pkt)
+			directR[r].Observe(e.pkt)
+			refR[r].ObserveReference(e.pkt)
 		}
 	}
-	if err := fusedR[0].Merge(fusedR[1:]...); err != nil {
+	if err := directR[0].Merge(directR[1:]...); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacyR[0].Merge(legacyR[1:]...); err != nil {
+	if err := refR[0].Merge(refR[1:]...); err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, fusedR[0], legacyR[0], "combine")
-	// Cross-engine merge must also work: the engines are deliberately
-	// not part of compatibility.
-	if !fusedR[0].Compatible(legacyR[0]) {
-		t.Fatal("fused and legacy recorders must stay compatible")
-	}
+	requireIdentical(t, directR[0], refR[0], "combine")
 }
 
 // TestDifferentialDetectorAlerts runs the full detector (all three
-// phases) over a multi-attack trace on both engines and requires
+// phases) over a multi-attack trace through both paths and requires
 // identical alert output in every interval.
 func TestDifferentialDetectorAlerts(t *testing.T) {
 	cfg := trace.Config{
@@ -214,21 +215,21 @@ func TestDifferentialDetectorAlerts(t *testing.T) {
 				StartInterval: 2, EndInterval: 4, Rate: 600, Cause: "hscan"},
 		},
 	}
-	mkDet := func(engine Engine) *Detector {
+	mkDet := func() *Detector {
 		d, err := NewDetector(TestRecorderConfig(0xa1e7), DetectorConfig{Threshold: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Recorder().SetEngine(engine)
 		return d
 	}
-	fusedRes := runTrace(t, mkDet(EngineFused), cfg)
-	legacyRes := runTrace(t, mkDet(EngineLegacy), cfg)
-	if len(fusedRes) != len(legacyRes) {
-		t.Fatalf("interval counts differ: %d vs %d", len(fusedRes), len(legacyRes))
+	directRes := runTrace(t, mkDet(), cfg)
+	ref := mkDet()
+	refRes := runTraceVia(t, ref, cfg, ref.Recorder().ObserveReference)
+	if len(directRes) != len(refRes) {
+		t.Fatalf("interval counts differ: %d vs %d", len(directRes), len(refRes))
 	}
-	for i := range fusedRes {
-		f, l := fusedRes[i], legacyRes[i]
+	for i := range directRes {
+		f, l := directRes[i], refRes[i]
 		render := func(alerts []Alert) []string {
 			out := make([]string, len(alerts))
 			for j, a := range alerts {
@@ -258,14 +259,14 @@ func TestDifferentialDetectorAlerts(t *testing.T) {
 }
 
 // TestDifferentialMarshalRoundTripKeepsEngineWorking ensures a recorder
-// that loaded serialized state keeps producing fused updates identical
-// to legacy ones (the plans are re-sized after unmarshal).
+// that loaded serialized state keeps producing direct updates identical
+// to reference ones (the plans are re-sized after unmarshal).
 func TestDifferentialMarshalRoundTripKeepsEngineWorking(t *testing.T) {
-	fused, legacy := diffRecorders(t, 0xbeef)
+	direct, ref := diffRecorders(t, 0xbeef)
 	pre := diffStream(11, 1000)
-	feed(fused, pre)
-	feed(legacy, pre)
-	blob, err := fused.MarshalBinary()
+	feed(direct, pre)
+	feedReference(ref, pre)
+	blob, err := direct.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +277,9 @@ func TestDifferentialMarshalRoundTripKeepsEngineWorking(t *testing.T) {
 	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	restored.memoryAccesses = legacy.MemoryAccesses()
+	restored.in.accesses = ref.MemoryAccesses()
 	post := diffStream(12, 1000)
 	feed(restored, post)
-	feed(legacy, post)
-	requireIdentical(t, restored, legacy, "post-restore")
+	feedReference(ref, post)
+	requireIdentical(t, restored, ref, "post-restore")
 }

@@ -11,15 +11,16 @@ import (
 	"github.com/hifind/hifind/internal/sketch2d"
 )
 
-// FuzzObserve drives Recorder.Observe and Recorder.ObserveFlow on the
-// fused and legacy engines with the same arbitrary event stream and
-// requires byte-identical serialized state — the differential harness
-// with the fuzzer choosing the inputs. Each 16-byte chunk of the corpus
-// decodes to one event: packets with arbitrary flag/direction bytes
-// (including the non-SYN noise both engines must ignore identically)
-// and flow records with counts up to 255, enough to exercise the
-// weighted-update collapse without making the legacy replay loop the
-// test's bottleneck (the differential unit tests cover larger counts).
+// FuzzObserve drives Recorder.Observe and Recorder.ObserveFlow, and
+// their reference twins on a second recorder, with the same arbitrary
+// event stream and requires byte-identical serialized state — the
+// differential harness with the fuzzer choosing the inputs. Each
+// 16-byte chunk of the corpus decodes to one event: packets with
+// arbitrary flag/direction bytes (including the non-SYN noise both
+// paths must ignore identically) and flow records with counts up to
+// 255, enough to exercise the weighted-update collapse without making
+// the reference replay loop the test's bottleneck (the differential
+// unit tests cover larger counts).
 func FuzzObserve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0, 8, 8, 8, 8, 129, 105, 1, 1, 0x9c, 0x40, 0, 80, 0x02, 1})
@@ -45,7 +46,6 @@ func FuzzObserve(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.SetEngine(EngineLegacy)
 		for len(data) >= 16 {
 			ev := data[:16]
 			data = data[16:]
@@ -65,14 +65,14 @@ func FuzzObserve(f *testing.F) {
 					Dir: dir, SYNs: syns, SYNACKs: synacks,
 				}
 				fused.ObserveFlow(rec)
-				legacy.ObserveFlow(rec)
+				legacy.ObserveFlowReference(rec)
 			} else {
 				pkt := netmodel.Packet{
 					SrcIP: sip, DstIP: dip, SrcPort: sport, DstPort: dport,
 					Flags: netmodel.TCPFlags(ev[14]), Dir: dir,
 				}
 				fused.Observe(pkt)
-				legacy.Observe(pkt)
+				legacy.ObserveReference(pkt)
 			}
 		}
 		fb, err := fused.MarshalBinary()
@@ -84,7 +84,7 @@ func FuzzObserve(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(fb, lb) {
-			t.Fatal("fused and legacy state diverged")
+			t.Fatal("direct and reference state diverged")
 		}
 		if fused.Packets() != legacy.Packets() || fused.MemoryAccesses() != legacy.MemoryAccesses() {
 			t.Fatalf("counters diverged: packets %d/%d accesses %d/%d",

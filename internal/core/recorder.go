@@ -41,8 +41,8 @@ func (o Orientation) String() string {
 }
 
 // InferenceEngine selects how offender keys are recovered from the
-// heavy-change signal at detection time. Unlike the update Engine, the
-// choice is part of RecorderConfig: the invertible engine records into
+// heavy-change signal at detection time. The choice is part of
+// RecorderConfig: the invertible engine records into
 // three additional sketches, so recorders on different inference
 // engines hold structurally different state and must not merge.
 type InferenceEngine int
@@ -120,7 +120,7 @@ type RecorderConfig struct {
 	Reflection bool
 	Reflect    invsketch.Params
 	// FlowCache, when positive, bounds an exact flow-aggregation cache
-	// installed in front of the fused engine: per-connection updates
+	// installed in front of the connection lane: per-connection updates
 	// accumulate in the table and flush as weighted updates on eviction
 	// and at rotation, leaving sketch state byte-identical to the
 	// cache-less recorder (internal/flowcache). Zero disables the
@@ -176,38 +176,6 @@ func TestRecorderConfig(seed uint64) RecorderConfig {
 	return cfg
 }
 
-// Engine selects which update implementation a Recorder runs. Both
-// engines build byte-identical state (proven by the differential suite
-// in differential_test.go); the fused engine is the default and the
-// legacy engine survives as the independently-written reference it is
-// compared against.
-type Engine int
-
-const (
-	// EngineFused computes each packed key's polynomial hash powers once
-	// per packet and shares them across every structure consuming that
-	// key, routes counter writes through preallocated bucket plans, and
-	// collapses NetFlow replay into one exact weighted update per record
-	// (sketch linearity: Update(k, v·c) ≡ c× Update(k, v)).
-	EngineFused Engine = iota
-	// EngineLegacy is the original path: every structure re-hashes its
-	// key independently and ObserveFlow replays records one synthetic
-	// SYN at a time.
-	EngineLegacy
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineFused:
-		return "fused"
-	case EngineLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
 // Recorder is the streaming data-recording front end of HiFIND: the three
 // reversible sketches, their verifiers, the original sketch, the two 2D
 // sketches and the active-service Bloom filter (paper §5.1). A Recorder
@@ -242,31 +210,21 @@ type Recorder struct {
 	// Burst is the sub-interval burst monitor over {DIP,Dport} — nil
 	// unless cfg.BurstSlots is positive. Reflect is the reflection
 	// monitor over {DIP, service Sport} — nil unless cfg.Reflection.
-	// Both bypass the engine dispatch and the flow cache: their updates
-	// apply inline at observe time (the cache drops timestamps the
-	// burst monitor needs, and identity across engines and cache modes
-	// falls out for free).
+	// Both bypass the flow cache: their updates apply at observe time
+	// (the cache drops timestamps the burst monitor needs).
 	Burst   *burst.Array
 	Reflect *invsketch.Sketch
 	// Services remembers {DIP,Dport} pairs that have produced SYN/ACKs —
 	// cross-interval state for the misconfiguration filter (§3.4).
 	Services *bloom.Filter
 
-	packets        int64
-	memoryAccesses int64
-
-	// engine picks the update implementation. Deliberately not part of
-	// RecorderConfig: fused and legacy recorders build identical state,
-	// so the choice must not affect Compatible or multi-router merging.
-	engine Engine
-	// plans is the fused engine's preallocated hash-plan scratch — one
+	// in is the ingestion core with the recorder itself as its direct
+	// applier; it also holds the flow cache and the packet and
+	// memory-access counters.
+	in ingest
+	// plans is the direct applier's preallocated hash-plan scratch — one
 	// bucket plan per structure, filled and applied once per update.
 	plans updatePlans
-	// cache is the optional exact flow-aggregation table in front of
-	// the fused engine (nil when cfg.FlowCache is zero). The legacy
-	// engine bypasses it — legacy is the differential witness and must
-	// stay the plain per-packet path.
-	cache *flowcache.Cache
 }
 
 // updatePlans holds one reusable bucket plan per recorder structure.
@@ -359,19 +317,13 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		}
 	}
 	r.plans = r.newPlans()
-	if cfg.FlowCache > 0 {
-		// The flush sink is a bound method value: one allocation here,
-		// none per flush.
-		if r.cache, err = flowcache.New(cfg.FlowCache, r.flushFlow); err != nil {
-			return nil, fmt.Errorf("core: flow cache: %w", err)
-		}
-	} else if cfg.FlowCache < 0 {
-		return nil, fmt.Errorf("core: flow cache entries %d < 0", cfg.FlowCache)
+	if err := r.in.init(r, r); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// newPlans sizes one bucket plan per structure for the fused engine.
+// newPlans sizes one bucket plan per structure.
 func (r *Recorder) newPlans() updatePlans {
 	p := updatePlans{
 		rsSipDport:       r.RSSipDport.NewPlan(),
@@ -398,280 +350,14 @@ func (r *Recorder) newPlans() updatePlans {
 	return p
 }
 
-// Config returns the recorder configuration.
-func (r *Recorder) Config() RecorderConfig { return r.cfg }
-
-// SetEngine switches the update implementation. Safe any time between
-// updates; recorders on different engines remain Compatible and
-// mergeable because both build identical state. Pending cache
-// aggregates flush first, so state recorded under the previous engine
-// is fully materialized before the next one takes over.
-func (r *Recorder) SetEngine(e Engine) {
-	r.FlushCache()
-	r.engine = e
-}
-
-// Engine returns the active update implementation.
-func (r *Recorder) Engine() Engine { return r.engine }
-
-// Observe records one packet. Only two packet classes matter to the
-// #SYN−#SYN/ACK signal (paper §3.3): connection-opening SYNs crossing the
-// edge in the protected direction add one under the connection keys, and
-// the answering SYN/ACKs crossing back subtract one under the same keys
-// (for a SYN/ACK the connection's client is the packet destination).
-// Everything else is ignored.
-func (r *Recorder) Observe(pkt netmodel.Packet) {
-	synDir, ackDir := netmodel.Inbound, netmodel.Outbound
-	if r.cfg.Orientation == Egress {
-		synDir, ackDir = netmodel.Outbound, netmodel.Inbound
-	}
-	switch {
-	case pkt.Dir == synDir && pkt.Flags.IsSYN():
-		r.update(pkt.SrcIP, pkt.DstIP, pkt.DstPort, +1, true)
-		if r.Burst != nil {
-			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.DstIP, pkt.DstPort), +1, 1)
-		}
-	case pkt.Dir == ackDir && pkt.Flags.IsSYNACK():
-		// Connection client = pkt.DstIP, server = pkt.SrcIP:pkt.SrcPort.
-		r.update(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1, false)
-		r.Services.Add(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
-		r.memoryAccesses += 7 // k≈7 bit-writes for a 1% Bloom filter
-		if r.Burst != nil {
-			r.burstUpdate(pkt.Timestamp, netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort), -1, 1)
-		}
-	case pkt.Dir == ackDir && pkt.Flags.IsSYN():
-		// Outbound connection attempt: subtract under {requester, service
-		// port} so the answering SYN/ACK below nets a benign round trip
-		// to zero. Ignored unless the reflection monitor is on.
-		if r.Reflect != nil {
-			r.reflectUpdate(netmodel.PackDIPDport(pkt.SrcIP, pkt.DstPort), -1, 1)
-		}
-	case pkt.Dir == synDir && pkt.Flags.IsSYNACK():
-		// Handshake response entering the edge: add under {destination,
-		// responding service port}. Unsolicited ones — reflected floods —
-		// have no outbound SYN to cancel against and accumulate.
-		if r.Reflect != nil {
-			r.reflectUpdate(netmodel.PackDIPDport(pkt.DstIP, pkt.SrcPort), +1, 1)
-		}
-	}
-	r.packets++
-}
-
-// burstUpdate folds one weighted update into the burst monitor's slot
-// for ts, charging the access budget for n collapsed packets. Inline
-// (engine- and cache-independent) by design: the slot index needs the
-// packet timestamp, which the flow cache and op batching do not carry.
-func (r *Recorder) burstUpdate(ts time.Time, key uint64, v int32, n int64) {
-	r.Burst.Update(r.Burst.Slot(ts), key, v)
-	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * n
-}
-
-// reflectUpdate folds one weighted update into the reflection monitor.
-func (r *Recorder) reflectUpdate(key uint64, v int32, n int64) {
-	r.Reflect.Update(key, v)
-	r.memoryAccesses += int64(r.cfg.Reflect.Stages*r.cfg.Reflect.Fields()) * n
-}
-
-// ObserveFlow records a NetFlow-style flow record (the evaluation traces
-// in the paper are NetFlow exports). The fused engine applies each
-// record as one exact weighted update per direction — sketch linearity
-// makes Update(k, v·c) identical to c repeated Update(k, v), including
-// under int32 wraparound — so replay cost is O(1) per record instead of
-// O(SYNs); the legacy engine keeps the per-SYN replay loop the
-// differential suite compares against.
-func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) {
-	if r.cfg.Orientation == Egress {
-		// Flip the record's edge-crossing direction so the shared
-		// accounting below applies unchanged.
-		if rec.Dir == netmodel.Inbound {
-			rec.Dir = netmodel.Outbound
-		} else {
-			rec.Dir = netmodel.Inbound
-		}
-	}
-	if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-		if r.engine == EngineLegacy {
-			for i := 0; i < rec.SYNs; i++ {
-				r.updateLegacy(rec.SrcIP, rec.DstIP, rec.DstPort, +1, true)
-			}
-		} else if r.cache != nil {
-			r.cache.Add(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
-		} else {
-			// Chunk pathologically large counts so the int32 weight stays
-			// faithful (a count ≡ 0 mod 2^32 must not skip the OS sketch);
-			// one iteration for any realistic record.
-			for left := rec.SYNs; left > 0; {
-				c := left
-				if c > flowChunk {
-					c = flowChunk
-				}
-				r.updateFused(rec.SrcIP, rec.DstIP, rec.DstPort, int32(c), int32(c), int64(c))
-				left -= c
-			}
-		}
-		r.packets += int64(rec.SYNs)
-	}
-	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-		if r.engine == EngineLegacy {
-			for i := 0; i < rec.SYNACKs; i++ {
-				r.updateLegacy(rec.DstIP, rec.SrcIP, rec.SrcPort, -1, false)
-			}
-		} else if r.cache != nil {
-			// The active-service insertion below stays at observe time:
-			// only counter updates defer through the cache.
-			r.cache.Add(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
-		} else {
-			for left := rec.SYNACKs; left > 0; {
-				c := left
-				if c > flowChunk {
-					c = flowChunk
-				}
-				r.updateFused(rec.DstIP, rec.SrcIP, rec.SrcPort, -int32(c), 0, int64(c))
-				left -= c
-			}
-		}
-		r.Services.Add(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
-		r.packets += int64(rec.SYNACKs)
-	}
-	if r.Burst != nil {
-		// A NetFlow record collapses its SYNs into the record's start
-		// slot — the finest timing the export format carries.
-		if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-			r.burstFlow(rec.Start, netmodel.PackDIPDport(rec.DstIP, rec.DstPort), rec.SYNs, +1)
-		}
-		if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-			r.burstFlow(rec.Start, netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort), rec.SYNACKs, -1)
-		}
-	}
-	if r.Reflect != nil {
-		// The two record classes the #SYN−#SYN/ACK accounting above
-		// ignores are exactly the reflection signal; packet counting is
-		// unchanged for them.
-		if rec.Dir == netmodel.Outbound && rec.SYNs > 0 {
-			r.reflectFlow(netmodel.PackDIPDport(rec.SrcIP, rec.DstPort), rec.SYNs, -1)
-		}
-		if rec.Dir == netmodel.Inbound && rec.SYNACKs > 0 {
-			r.reflectFlow(netmodel.PackDIPDport(rec.DstIP, rec.SrcPort), rec.SYNACKs, +1)
-		}
-	}
-}
-
-// burstFlow applies one flow record's count to the burst monitor as
-// chunked weighted updates (linearity makes chunks exact).
-func (r *Recorder) burstFlow(ts time.Time, key uint64, count int, sign int32) {
-	slot := r.Burst.Slot(ts)
-	for left := count; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.Burst.Update(slot, key, sign*int32(c))
-		left -= c
-	}
-	r.memoryAccesses += int64(r.Burst.AccessesPerUpdate()) * int64(count)
-}
-
-// reflectFlow applies one flow record's count to the reflection monitor.
-func (r *Recorder) reflectFlow(key uint64, count int, sign int32) {
-	for left := count; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.Reflect.Update(key, sign*int32(c))
-		left -= c
-	}
-	r.memoryAccesses += int64(r.cfg.Reflect.Stages*r.cfg.Reflect.Fields()) * int64(count)
-}
-
-// flowChunk bounds one weighted update's collapsed packet count well
-// inside int32 range.
-const flowChunk = 1 << 30
-
-// update applies one ±1 to every structure under connection (sip,dip,dport).
-// With a flow cache installed the packet only touches its cache entry;
-// the sketch fan-out happens when the aggregate flushes. Observe always
-// calls with (v=+1, countSYN=true) for SYNs and (v=-1, countSYN=false)
-// for SYN/ACKs, which is exactly the split the cache entry stores.
-func (r *Recorder) update(sip, dip netmodel.IPv4, dport uint16, v int32, countSYN bool) {
-	if r.engine == EngineLegacy {
-		r.updateLegacy(sip, dip, dport, v, countSYN)
-		return
-	}
-	if r.cache != nil {
-		if countSYN {
-			r.cache.Add(sip, dip, dport, 1, 0)
-		} else {
-			r.cache.Add(sip, dip, dport, 0, 1)
-		}
-		return
-	}
-	var syn int32
-	if countSYN {
-		syn = 1
-	}
-	r.updateFused(sip, dip, dport, v, syn, 1)
-}
-
-// updateLegacy is the original per-sketch path: each structure mangles
-// and hashes its key independently. Kept verbatim as the reference
-// implementation the differential suite checks the fused engine against.
-func (r *Recorder) updateLegacy(sip, dip netmodel.IPv4, dport uint16, v int32, countSYN bool) {
-	kSipDport := netmodel.PackSIPDport(sip, dport)
-	kDipDport := netmodel.PackDIPDport(dip, dport)
-	kSipDip := netmodel.PackSIPDIP(sip, dip)
-
-	r.RSSipDport.Update(kSipDport, v)
-	r.RSDipDport.Update(kDipDport, v)
-	r.RSSipDip.Update(kSipDip, v)
-	r.VerSipDport.Update(kSipDport, v)
-	r.VerDipDport.Update(kDipDport, v)
-	r.VerSipDip.Update(kSipDip, v)
-	if countSYN {
-		r.OSDipDport.Update(kDipDport, 1)
-	}
-	r.TwoDSipDportXDip.Update(kSipDport, uint64(dip), v)
-	r.TwoDSipDipXDport.Update(kSipDip, uint64(dport), v)
-	if r.InvSipDport != nil {
-		r.InvSipDport.Update(kSipDport, v)
-		r.InvDipDport.Update(kDipDport, v)
-		r.InvSipDip.Update(kSipDip, v)
-	}
-
-	// Counter writes per packet: 6 per RS ×3, 6 per verifier ×3, 5 per 2D
-	// ×2, plus 6 for the OS on SYNs — the fixed per-packet access budget
-	// of paper §5.5.2 (no per-flow state anywhere). The invertible
-	// engine adds Stages×Fields writes per invertible sketch; each
-	// stage's burst is one contiguous bucket, so the cache-line cost is
-	// closer to Stages than to Stages×Fields, but the budget counts
-	// writes honestly.
-	acc := int64(3*r.cfg.RS48.Stages+3*r.cfg.Verifier.Stages+2*r.cfg.TwoD.Stages) + r.invAccesses()
-	if countSYN {
-		acc += int64(r.cfg.Original.Stages)
-	}
-	r.memoryAccesses += acc
-}
-
-// invAccesses is the extra per-packet counter-write budget of the
-// invertible sketches, zero in reverse-inference mode.
-func (r *Recorder) invAccesses() int64 {
-	if r.InvSipDport == nil {
-		return 0
-	}
-	return int64(2*r.cfg.Inv48.Stages*r.cfg.Inv48.Fields() + r.cfg.Inv64.Stages*r.cfg.Inv64.Fields())
-}
-
-// updateFused applies value v to every #SYN−#SYN/ACK structure under
-// connection (sip,dip,dport) and syn to the OS sketch, accounting
-// memory accesses for n collapsed packets. Each key's hash work happens
-// exactly once: the five hashed values (three packed connection keys
-// plus the two 2D y-keys) get their polynomial powers computed up front
-// and fanned out to every structure consuming them, and counter writes
-// go through the recorder's preallocated bucket plans. State is
-// bit-identical to the legacy path: power-basis Poly4 evaluation equals
-// Horner on the reduced field, plans cache exactly the indices Update
-// derives, and weighted adds equal repeated adds by linearity.
-func (r *Recorder) updateFused(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n int64) {
+// fillConn fills every connection-lane plan for (sip, dip, dport)
+// against r's hash tables — the OS plan only on the SYN side. Each key's
+// hash work happens exactly once: the five hashed values (three packed
+// connection keys plus the two 2D y-keys) get their polynomial powers
+// computed up front and fanned out to every structure consuming them.
+//
+//hifind:hot
+func (p *updatePlans) fillConn(r *Recorder, sip, dip netmodel.IPv4, dport uint16, syn bool) {
 	kSipDport := netmodel.PackSIPDport(sip, dport)
 	kDipDport := netmodel.PackDIPDport(dip, dport)
 	kSipDip := netmodel.PackSIPDIP(sip, dip)
@@ -682,16 +368,48 @@ func (r *Recorder) updateFused(sip, dip netmodel.IPv4, dport uint16, v, syn int3
 	ppDip := sketch.PowersOf(uint64(dip))
 	ppDport := sketch.PowersOf(uint64(dport))
 
-	p := &r.plans
 	r.RSSipDport.FillPlan(kSipDport, p.rsSipDport)
 	r.RSDipDport.FillPlan(kDipDport, p.rsDipDport)
 	r.RSSipDip.FillPlan(kSipDip, p.rsSipDip)
 	r.VerSipDport.FillPlan(ppSipDport, p.verSipDport)
 	r.VerDipDport.FillPlan(ppDipDport, p.verDipDport)
 	r.VerSipDip.FillPlan(ppSipDip, p.verSipDip)
+	if syn {
+		r.OSDipDport.FillPlan(ppDipDport, p.osDipDport)
+	}
 	r.TwoDSipDportXDip.FillPlan(ppSipDport, ppDip, p.twoDSipDportXDip)
 	r.TwoDSipDipXDport.FillPlan(ppSipDip, ppDport, p.twoDSipDipXDport)
+	if p.invSipDport != nil {
+		r.InvSipDport.FillPlan(kSipDport, ppSipDport, p.invSipDport)
+		r.InvDipDport.FillPlan(kDipDport, ppDipDport, p.invDipDport)
+		r.InvSipDip.FillPlan(kSipDip, ppSipDip, p.invSipDip)
+	}
+}
 
+// Config returns the recorder configuration.
+func (r *Recorder) Config() RecorderConfig { return r.cfg }
+
+// Observe records one packet (see ingest.observe for the classes that
+// matter): counter writes go straight to the cells.
+func (r *Recorder) Observe(pkt netmodel.Packet) { r.in.observe(pkt) }
+
+// ObserveFlow records a NetFlow-style flow record (the evaluation traces
+// in the paper are NetFlow exports). Each record applies as one exact
+// weighted update per lane — sketch linearity makes Update(k, v·c)
+// identical to c repeated Update(k, v) — so replay cost is O(1) per
+// record instead of O(SYNs).
+func (r *Recorder) ObserveFlow(rec netmodel.FlowRecord) { r.in.observeFlow(rec) }
+
+// applyConn is the direct connection lane: the plan fill, then one
+// UpdateAt per structure. State is bit-identical to the reference
+// applier: power-basis Poly4 evaluation equals Horner on the reduced
+// field, plans cache exactly the indices Update derives, and weighted
+// adds equal repeated adds by linearity.
+//
+//hifind:hot
+func (r *Recorder) applyConn(sip, dip netmodel.IPv4, dport uint16, v, syn int32) {
+	p := &r.plans
+	p.fillConn(r, sip, dip, dport, syn != 0)
 	r.RSSipDport.UpdateAt(p.rsSipDport, v)
 	r.RSDipDport.UpdateAt(p.rsDipDport, v)
 	r.RSSipDip.UpdateAt(p.rsSipDip, v)
@@ -699,91 +417,68 @@ func (r *Recorder) updateFused(sip, dip netmodel.IPv4, dport uint16, v, syn int3
 	r.VerDipDport.UpdateAt(p.verDipDport, v)
 	r.VerSipDip.UpdateAt(p.verSipDip, v)
 	if syn != 0 {
-		r.OSDipDport.FillPlan(ppDipDport, p.osDipDport)
 		r.OSDipDport.UpdateAt(p.osDipDport, syn)
 	}
 	r.TwoDSipDportXDip.UpdateAt(p.twoDSipDportXDip, v)
 	r.TwoDSipDipXDport.UpdateAt(p.twoDSipDipXDport, v)
-	if r.InvSipDport != nil {
-		r.InvSipDport.FillPlan(kSipDport, ppSipDport, p.invSipDport)
-		r.InvDipDport.FillPlan(kDipDport, ppDipDport, p.invDipDport)
-		r.InvSipDip.FillPlan(kSipDip, ppSipDip, p.invSipDip)
+	if p.invSipDport != nil {
 		r.InvSipDport.UpdateAt(p.invSipDport, v)
 		r.InvDipDport.UpdateAt(p.invDipDport, v)
 		r.InvSipDip.UpdateAt(p.invSipDip, v)
 	}
-
-	// Same per-packet access budget as the legacy path, scaled by the
-	// number of packets this weighted update collapses.
-	acc := int64(3*r.cfg.RS48.Stages+3*r.cfg.Verifier.Stages+2*r.cfg.TwoD.Stages) + r.invAccesses()
-	if syn != 0 {
-		acc += int64(r.cfg.Original.Stages)
-	}
-	r.memoryAccesses += acc * n
 }
 
-// flushFlow is the flow cache's flush sink: one aggregated connection
-// becomes two exact weighted updates, (+syns with the OS sketch fed)
-// then (−acks without it) — the same two shapes the uncached paths
-// apply per packet, so both the sketch bytes and the memory-access
-// budget come out identical (acc·n accounting is linear in n and the
-// OS stages are charged exactly on the SYN side). Chunking keeps the
-// int32 weight faithful for pathological counts, and chunked flushes
-// are exact for the same linearity reason the aggregation is.
-func (r *Recorder) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
-	for left := syns; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.updateFused(sip, dip, dport, int32(c), int32(c), c)
-		left -= c
+// applyService is the direct service-filter insert.
+//
+//hifind:hot
+func (r *Recorder) applyService(key uint64) { r.Services.Add(key) }
+
+// applyMonitor is the direct burst- or reflection-monitor update.
+//
+//hifind:hot
+func (r *Recorder) applyMonitor(seg uint32, key uint64, v int32) {
+	if seg == segReflect {
+		r.Reflect.Update(key, v)
+		return
 	}
-	for left := acks; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		r.updateFused(sip, dip, dport, -int32(c), 0, c)
-		left -= c
-	}
+	r.Burst.Update(int(seg-segBurst0), key, v)
 }
 
 // FlushCache materializes every pending flow-cache aggregate into the
 // sketches. A no-op without a cache. Runs automatically before
-// marshaling, merging and engine switches; the detector flushes before
-// reading interval snapshots.
+// marshaling and merging; the detector flushes before reading interval
+// snapshots.
 func (r *Recorder) FlushCache() {
-	if r.cache == nil {
+	if r.in.cache == nil {
 		return
 	}
-	r.cache.FlushAll()
+	r.in.cache.FlushAll()
 }
 
 // CacheStats returns the flow cache's traffic counters (zero without a
 // cache).
 func (r *Recorder) CacheStats() flowcache.Stats {
-	if r.cache == nil {
+	if r.in.cache == nil {
 		return flowcache.Stats{}
 	}
-	return r.cache.Stats()
+	return r.in.cache.Stats()
 }
 
 // CacheOccupancy returns the resident fraction of the flow cache (zero
 // without a cache).
 func (r *Recorder) CacheOccupancy() float64 {
-	if r.cache == nil {
+	if r.in.cache == nil {
 		return 0
 	}
-	return r.cache.Occupancy()
+	return r.in.cache.Occupancy()
 }
 
 // Packets returns how many packets were observed.
-func (r *Recorder) Packets() int64 { return r.packets }
+func (r *Recorder) Packets() int64 { return r.in.packets }
 
 // MemoryAccesses returns the cumulative counter-write count, for the
 // per-packet access benchmarks.
-func (r *Recorder) MemoryAccesses() int64 { return r.memoryAccesses }
+func (r *Recorder) MemoryAccesses() int64 { return r.in.accesses }
 
 // MemoryBytes totals the counter memory of every structure, the number
 // compared in paper Table 9.
@@ -831,10 +526,10 @@ func (r *Recorder) Reset() {
 	// Pending cache aggregates belong to the interval being discarded;
 	// drop them (and the interval's cache stats) rather than flush them
 	// into the cleared sketches.
-	if r.cache != nil {
-		r.cache.Clear()
+	if r.in.cache != nil {
+		r.in.cache.Clear()
 	}
-	r.packets = 0
+	r.in.packets = 0
 }
 
 // Compatible reports whether two recorders share seed and geometry and can
@@ -856,8 +551,8 @@ func (r *Recorder) Merge(others ...*Recorder) error {
 			return fmt.Errorf("core: merge operand %d incompatible", n)
 		}
 		o.FlushCache()
-		if r.cache != nil && o.cache != nil {
-			r.cache.AddStats(o.cache.Stats())
+		if r.in.cache != nil && o.in.cache != nil {
+			r.in.cache.AddStats(o.in.cache.Stats())
 		}
 		var err error
 		merge := func(dst, src *revsketch.Sketch) *revsketch.Sketch {
@@ -924,7 +619,7 @@ func (r *Recorder) Merge(others ...*Recorder) error {
 		if err := r.Services.Union(o.Services); err != nil {
 			return fmt.Errorf("core: merge: %w", err)
 		}
-		r.packets += o.packets
+		r.in.packets += o.in.packets
 	}
 	return nil
 }
@@ -974,7 +669,7 @@ func (r *Recorder) MarshalBinary() ([]byte, error) {
 		size += 4 + len(b)
 	}
 	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint64(out, uint64(r.packets))
+	out = binary.LittleEndian.AppendUint64(out, uint64(r.in.packets))
 	for _, b := range blocks {
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
 		out = append(out, b...)
@@ -983,13 +678,13 @@ func (r *Recorder) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary loads serialized state into a recorder constructed with
-// the same configuration.
+// the same configuration. The block framing — block count, every
+// length, no trailing bytes — is checked before any block decodes, so a
+// truncated or over-long payload fails with the recorder unchanged.
 func (r *Recorder) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("core: recorder data truncated")
 	}
-	r.packets = int64(binary.LittleEndian.Uint64(data))
-	data = data[8:]
 	unmarshals := []func([]byte) error{
 		r.RSSipDport.UnmarshalBinary, r.RSDipDport.UnmarshalBinary, r.RSSipDip.UnmarshalBinary,
 		r.VerSipDport.UnmarshalBinary, r.VerDipDport.UnmarshalBinary, r.VerSipDip.UnmarshalBinary,
@@ -1007,30 +702,35 @@ func (r *Recorder) UnmarshalBinary(data []byte) error {
 	if r.Reflect != nil {
 		unmarshals = append(unmarshals, r.Reflect.UnmarshalBinary)
 	}
-	for i, u := range unmarshals {
-		if len(data) < 4 {
+	blocks := make([][]byte, len(unmarshals))
+	rest := data[8:]
+	for i := range blocks {
+		if len(rest) < 4 {
 			return fmt.Errorf("core: recorder block %d missing", i)
 		}
-		n := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < n {
+		n := int(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		if len(rest) < n {
 			return fmt.Errorf("core: recorder block %d truncated", i)
 		}
-		if err := u(data[:n]); err != nil {
+		blocks[i], rest = rest[:n], rest[n:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("core: %d trailing bytes after recorder blocks", len(rest))
+	}
+	for i, u := range unmarshals {
+		if err := u(blocks[i]); err != nil {
 			return fmt.Errorf("core: recorder block %d: %w", i, err)
 		}
-		data = data[n:]
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after recorder blocks", len(data))
-	}
-	// The blocks rebuild each structure in place; re-size the fused
-	// engine's plans in case the loaded geometry differs from the one the
-	// recorder was constructed with. Any aggregates still cached belong
-	// to the state just replaced, so they are dropped, not flushed.
+	r.in.packets = int64(binary.LittleEndian.Uint64(data))
+	// The blocks rebuild each structure in place; re-size the direct
+	// applier's plans in case the loaded geometry differs from the one
+	// the recorder was constructed with. Any aggregates still cached
+	// belong to the state just replaced, so they are dropped, not flushed.
 	r.plans = r.newPlans()
-	if r.cache != nil {
-		r.cache.Clear()
+	if r.in.cache != nil {
+		r.in.cache.Clear()
 	}
 	return nil
 }

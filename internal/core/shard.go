@@ -16,8 +16,9 @@ package core
 // Byte identity with a sequential recorder is the design's invariant,
 // and it falls out of three facts:
 //
-//  1. Hashing is unchanged. The planner fills the same plans the fused
-//     sequential engine fills, against the same immutable hash tables,
+//  1. Hashing is unchanged. The planner is the same ingestion core as
+//     the sequential recorder (ingest.go) and fills the same plans its
+//     direct applier fills, against the same immutable hash tables,
 //     so an op's (structure, stage, bucket) is exactly the cell
 //     Update would have written.
 //  2. Counter cells are int32 adds (and service bits a monotone OR),
@@ -55,7 +56,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/hifind/hifind/internal/burst"
 	"github.com/hifind/hifind/internal/flowcache"
@@ -348,8 +348,8 @@ func (v *ShardView) ApplyInv(ops []InvOp) {
 // have been applied, the recorder is byte-identical (MarshalBinary) to
 // one that observed the same traffic sequentially.
 func (r *Recorder) ApplyTally(t *Tally) {
-	r.packets += t.Packets
-	r.memoryAccesses += t.MemoryAccesses
+	r.in.packets += t.Packets
+	r.in.accesses += t.MemoryAccesses
 	r.RSSipDport.AddTotal(t.Totals[segRSSipDport])
 	r.RSDipDport.AddTotal(t.Totals[segRSDipDport])
 	r.RSSipDip.AddTotal(t.Totals[segRSSipDip])
@@ -382,10 +382,10 @@ func (r *Recorder) ApplyTally(t *Tally) {
 // still surface through CacheStats and the interval diagnostics. A
 // no-op without a cache.
 func (r *Recorder) AddCacheStats(s flowcache.Stats) {
-	if r.cache == nil {
+	if r.in.cache == nil {
 		return
 	}
-	r.cache.AddStats(s)
+	r.in.cache.AddStats(s)
 }
 
 // OpSink receives the op stream a Planner emits. EmitOps must fully
@@ -396,14 +396,14 @@ type OpSink interface {
 	EmitOps(ops []Op, inv []InvOp)
 }
 
-// Planner is the producer half of sharded ingestion: it does
-// everything a sequential fused recorder does EXCEPT write counters —
-// key packing, one-time polynomial powers, plan fills against the
-// reference recorder's immutable hash tables, flow-cache aggregation,
-// and the scalar accounting — and emits the counter writes as routed
-// ops. One Planner per producer goroutine; many planners may share one
-// reference recorder because plan filling only reads immutable hash
-// state.
+// Planner is the producer half of sharded ingestion: the ingestion core
+// with routed ops as its applier. It does everything a sequential
+// recorder does EXCEPT write counters — classification, key packing,
+// one-time polynomial powers, plan fills against the reference
+// recorder's immutable hash tables, flow-cache aggregation and the
+// scalar accounting — and emits the counter writes as routed ops. One
+// Planner per producer goroutine; many planners may share one reference
+// recorder because plan filling only reads immutable hash state.
 //
 // The optional flow cache lives HERE, not in the epoch recorder:
 // aggregation happens before routing, so a cached flow's weighted
@@ -412,23 +412,15 @@ type OpSink interface {
 // need no synchronization. Callers must FlushCache before an epoch
 // rotation they want byte-exact (the facade's Flush does).
 type Planner struct {
+	in    ingest
 	ref   *Recorder
 	sink  OpSink
 	geom  ShardGeometry
 	plans updatePlans
-	cache *flowcache.Cache
 	last  flowcache.Stats
+	// tally accumulates the per-structure totals; packets and memory
+	// accesses are counted by the ingestion core.
 	tally Tally
-
-	egress         bool
-	synDir, ackDir netmodel.Direction
-	invertible     bool
-	hasBurst       bool
-	hasReflect     bool
-	accBase        int64 // per-packet counter writes, OS excluded
-	accSyn         int64 // extra OS writes on the SYN side
-	accBurst       int64 // burst-monitor writes per burst update
-	accReflect     int64 // reflection-monitor writes per reflect update
 
 	ops      []Op
 	invs     []InvOp
@@ -448,40 +440,22 @@ func NewPlanner(ref *Recorder, sink OpSink) (*Planner, error) {
 	}
 	cfg := ref.Config()
 	p := &Planner{
-		ref:     ref,
-		sink:    sink,
-		geom:    geom,
-		plans:   ref.newPlans(),
-		egress:  cfg.Orientation == Egress,
-		synDir:  netmodel.Inbound,
-		ackDir:  netmodel.Outbound,
-		accBase: int64(3*cfg.RS48.Stages + 3*cfg.Verifier.Stages + 2*cfg.TwoD.Stages),
-		accSyn:  int64(cfg.Original.Stages),
+		ref:   ref,
+		sink:  sink,
+		geom:  geom,
+		plans: ref.newPlans(),
 	}
-	if p.egress {
-		// Same direction flip Recorder.Observe applies for Egress.
-		p.synDir, p.ackDir = p.ackDir, p.synDir
-	}
-	if ref.InvSipDport != nil {
-		p.invertible = true
-		p.accBase += int64(2*cfg.Inv48.Stages*cfg.Inv48.Fields() + cfg.Inv64.Stages*cfg.Inv64.Fields())
-	}
-	if ref.Burst != nil {
-		p.hasBurst = true
-		p.accBurst = int64(ref.Burst.AccessesPerUpdate())
-	}
-	if ref.Reflect != nil {
-		p.hasReflect = true
-		p.accReflect = int64(cfg.Reflect.Stages * cfg.Reflect.Fields())
+	if err := p.in.init(ref, p); err != nil {
+		return nil, fmt.Errorf("core: planner: %w", err)
 	}
 	invLen := 0
-	if p.invertible {
+	if ref.InvSipDport != nil {
 		invLen += 2*cfg.Inv48.Stages + cfg.Inv64.Stages
 	}
-	if p.hasBurst {
+	if ref.Burst != nil {
 		invLen += cfg.Burst.Stages
 	}
-	if p.hasReflect {
+	if ref.Reflect != nil {
 		invLen += cfg.Reflect.Stages
 	}
 	if invLen > 0 {
@@ -493,11 +467,6 @@ func NewPlanner(ref *Recorder, sink OpSink) (*Planner, error) {
 		maxOps = len(p.bloomBuf)
 	}
 	p.ops = make([]Op, maxOps)
-	if cfg.FlowCache > 0 {
-		if p.cache, err = flowcache.New(cfg.FlowCache, p.flushFlow); err != nil {
-			return nil, fmt.Errorf("core: planner flow cache: %w", err)
-		}
-	}
 	return p, nil
 }
 
@@ -505,115 +474,21 @@ func NewPlanner(ref *Recorder, sink OpSink) (*Planner, error) {
 // planner over the same configuration).
 func (p *Planner) Geometry() ShardGeometry { return p.geom }
 
-// Observe plans one packet: the sharded twin of Recorder.Observe, with
-// identical classification, accounting and cache behavior, emitting
-// ops instead of writing counters.
-//
-//hifind:hot
-func (p *Planner) Observe(pkt netmodel.Packet) {
-	synDir, ackDir := p.synDir, p.ackDir
-	switch {
-	case pkt.Dir == synDir && pkt.Flags.IsSYN():
-		if p.cache != nil {
-			p.cache.Add(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 0)
-		} else {
-			p.planFused(pkt.SrcIP, pkt.DstIP, pkt.DstPort, 1, 1, 1)
-		}
-		if p.hasBurst {
-			p.planBurst(pkt.Timestamp, netmodel.PackDIPDport(pkt.DstIP, pkt.DstPort), 1, 1)
-		}
-	case pkt.Dir == ackDir && pkt.Flags.IsSYNACK():
-		if p.cache != nil {
-			p.cache.Add(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, 0, 1)
-		} else {
-			p.planFused(pkt.DstIP, pkt.SrcIP, pkt.SrcPort, -1, 0, 1)
-		}
-		p.emitServiceAdd(netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort))
-		p.tally.MemoryAccesses += 7 // k≈7 bit-writes for a 1% Bloom filter
-		if p.hasBurst {
-			p.planBurst(pkt.Timestamp, netmodel.PackDIPDport(pkt.SrcIP, pkt.SrcPort), -1, 1)
-		}
-	case pkt.Dir == ackDir && pkt.Flags.IsSYN():
-		if p.hasReflect {
-			p.planReflect(netmodel.PackDIPDport(pkt.SrcIP, pkt.DstPort), -1, 1)
-		}
-	case pkt.Dir == synDir && pkt.Flags.IsSYNACK():
-		if p.hasReflect {
-			p.planReflect(netmodel.PackDIPDport(pkt.DstIP, pkt.SrcPort), 1, 1)
-		}
-	}
-	p.tally.Packets++
-}
+// Observe plans one packet: Recorder.Observe's classification,
+// accounting and cache behavior, emitting ops instead of writing
+// counters.
+func (p *Planner) Observe(pkt netmodel.Packet) { p.in.observe(pkt) }
 
-// ObserveFlow plans one flow record: the sharded twin of
-// Recorder.ObserveFlow on the fused engine (weighted exact updates;
-// the legacy per-SYN loop exists only as the sequential differential
-// witness and has no sharded counterpart).
-//
-//hifind:hot
-func (p *Planner) ObserveFlow(rec netmodel.FlowRecord) {
-	if p.egress {
-		if rec.Dir == netmodel.Inbound {
-			rec.Dir = netmodel.Outbound
-		} else {
-			rec.Dir = netmodel.Inbound
-		}
-	}
-	if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-		if p.cache != nil {
-			p.cache.Add(rec.SrcIP, rec.DstIP, rec.DstPort, int64(rec.SYNs), 0)
-		} else {
-			for left := rec.SYNs; left > 0; {
-				c := left
-				if c > flowChunk {
-					c = flowChunk
-				}
-				p.planFused(rec.SrcIP, rec.DstIP, rec.DstPort, int32(c), int32(c), int64(c))
-				left -= c
-			}
-		}
-		p.tally.Packets += int64(rec.SYNs)
-	}
-	if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-		if p.cache != nil {
-			p.cache.Add(rec.DstIP, rec.SrcIP, rec.SrcPort, 0, int64(rec.SYNACKs))
-		} else {
-			for left := rec.SYNACKs; left > 0; {
-				c := left
-				if c > flowChunk {
-					c = flowChunk
-				}
-				p.planFused(rec.DstIP, rec.SrcIP, rec.SrcPort, -int32(c), 0, int64(c))
-				left -= c
-			}
-		}
-		p.emitServiceAdd(netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort))
-		p.tally.Packets += int64(rec.SYNACKs)
-	}
-	if p.hasBurst {
-		if rec.Dir == netmodel.Inbound && rec.SYNs > 0 {
-			p.planBurstFlow(rec.Start, netmodel.PackDIPDport(rec.DstIP, rec.DstPort), rec.SYNs, 1)
-		}
-		if rec.Dir == netmodel.Outbound && rec.SYNACKs > 0 {
-			p.planBurstFlow(rec.Start, netmodel.PackDIPDport(rec.SrcIP, rec.SrcPort), rec.SYNACKs, -1)
-		}
-	}
-	if p.hasReflect {
-		if rec.Dir == netmodel.Outbound && rec.SYNs > 0 {
-			p.planReflectFlow(netmodel.PackDIPDport(rec.SrcIP, rec.DstPort), rec.SYNs, -1)
-		}
-		if rec.Dir == netmodel.Inbound && rec.SYNACKs > 0 {
-			p.planReflectFlow(netmodel.PackDIPDport(rec.DstIP, rec.SrcPort), rec.SYNACKs, 1)
-		}
-	}
-}
+// ObserveFlow plans one flow record as Recorder.ObserveFlow would
+// record it.
+func (p *Planner) ObserveFlow(rec netmodel.FlowRecord) { p.in.observeFlow(rec) }
 
 // FlushCache materializes every pending flow-cache aggregate as ops.
 // A no-op without a cache. Call before an epoch rotation that must be
 // byte-exact against sequential ingestion.
 func (p *Planner) FlushCache() {
-	if p.cache != nil {
-		p.cache.FlushAll()
+	if p.in.cache != nil {
+		p.in.cache.FlushAll()
 	}
 }
 
@@ -624,8 +499,8 @@ func (p *Planner) FlushCache() {
 //
 //hifind:hot
 func (p *Planner) TakeTally() Tally {
-	if p.cache != nil {
-		s := p.cache.Stats()
+	if p.in.cache != nil {
+		s := p.in.cache.Stats()
 		p.tally.Cache = flowcache.Stats{
 			Hits:      s.Hits - p.last.Hits,
 			Misses:    s.Misses - p.last.Misses,
@@ -635,134 +510,21 @@ func (p *Planner) TakeTally() Tally {
 		p.last = s
 	}
 	t := p.tally
+	t.Packets, t.MemoryAccesses = p.in.packets, p.in.accesses
 	p.tally = Tally{}
+	p.in.packets, p.in.accesses = 0, 0
 	return t
 }
 
-// flushFlow is the planner cache's flush sink: one aggregated
-// connection becomes the same two weighted update shapes the
-// sequential recorder's flushFlow applies, emitted as ops.
+// applyConn is the routed connection lane: Recorder.applyConn's plan
+// fill, with the counter writes emitted as ops instead of applied. Plans
+// are filled against the reference recorder's hash tables, which never
+// change after construction, so concurrent planners are safe.
 //
 //hifind:hot
-func (p *Planner) flushFlow(sip, dip netmodel.IPv4, dport uint16, syns, acks int64) {
-	for left := syns; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		p.planFused(sip, dip, dport, int32(c), int32(c), c)
-		left -= c
-	}
-	for left := acks; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		p.planFused(sip, dip, dport, -int32(c), 0, c)
-		left -= c
-	}
-}
-
-// planBurst is burstUpdate with the bucket writes lifted into InvOps:
-// the slot index is computed producer-side from the packet timestamp
-// (which op batching does not carry) and routes as that slot's own
-// segment. Bypasses the flow cache exactly like the sequential
-// recorder's inline burst path.
-//
-//hifind:hot
-func (p *Planner) planBurst(ts time.Time, key uint64, v int32, n int64) {
-	slot := p.ref.Burst.Slot(ts)
-	seg := uint32(segBurst0 + slot)
-	p.ref.Burst.FillPlan(key, sketch.PowersOf(key), p.plans.burst)
-	ki := p.emitInv(0, seg, p.plans.burst, v)
-	p.tally.Totals[seg] += int64(v)
-	p.tally.MemoryAccesses += p.accBurst * n
-	p.sink.EmitOps(nil, p.invs[:ki])
-}
-
-// planBurstFlow is burstFlow for the sharded path: one flow record's
-// count collapsed into the record's start slot as chunked weighted ops.
-//
-//hifind:hot
-func (p *Planner) planBurstFlow(ts time.Time, key uint64, count int, sign int32) {
-	slot := p.ref.Burst.Slot(ts)
-	seg := uint32(segBurst0 + slot)
-	p.ref.Burst.FillPlan(key, sketch.PowersOf(key), p.plans.burst)
-	for left := count; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		ki := p.emitInv(0, seg, p.plans.burst, sign*int32(c))
-		p.tally.Totals[seg] += int64(sign) * int64(c)
-		p.sink.EmitOps(nil, p.invs[:ki])
-		left -= c
-	}
-	p.tally.MemoryAccesses += p.accBurst * int64(count)
-}
-
-// planReflect is reflectUpdate with the bucket writes lifted into
-// InvOps.
-//
-//hifind:hot
-func (p *Planner) planReflect(key uint64, v int32, n int64) {
-	r := p.ref
-	r.Reflect.FillPlan(key, sketch.PowersOf(key), p.plans.reflect)
-	ki := p.emitInv(0, segReflect, p.plans.reflect, v)
-	p.tally.Totals[segReflect] += int64(v)
-	p.tally.MemoryAccesses += p.accReflect * n
-	p.sink.EmitOps(nil, p.invs[:ki])
-}
-
-// planReflectFlow is reflectFlow for the sharded path.
-//
-//hifind:hot
-func (p *Planner) planReflectFlow(key uint64, count int, sign int32) {
-	r := p.ref
-	r.Reflect.FillPlan(key, sketch.PowersOf(key), p.plans.reflect)
-	for left := count; left > 0; {
-		c := left
-		if c > flowChunk {
-			c = flowChunk
-		}
-		ki := p.emitInv(0, segReflect, p.plans.reflect, sign*int32(c))
-		p.tally.Totals[segReflect] += int64(sign) * int64(c)
-		p.sink.EmitOps(nil, p.invs[:ki])
-		left -= c
-	}
-	p.tally.MemoryAccesses += p.accReflect * int64(count)
-}
-
-// planFused is updateFused with the counter writes lifted into ops:
-// identical key packing, identical one-time polynomial powers,
-// identical plan fills, identical accounting — emitted instead of
-// applied. Plans are filled against the reference recorder's hash
-// tables, which never change after construction, so concurrent
-// planners are safe.
-//
-//hifind:hot
-func (p *Planner) planFused(sip, dip netmodel.IPv4, dport uint16, v, syn int32, n int64) {
-	r := p.ref
-	kSipDport := netmodel.PackSIPDport(sip, dport)
-	kDipDport := netmodel.PackDIPDport(dip, dport)
-	kSipDip := netmodel.PackSIPDIP(sip, dip)
-
-	ppSipDport := sketch.PowersOf(kSipDport)
-	ppDipDport := sketch.PowersOf(kDipDport)
-	ppSipDip := sketch.PowersOf(kSipDip)
-	ppDip := sketch.PowersOf(uint64(dip))
-	ppDport := sketch.PowersOf(uint64(dport))
-
+func (p *Planner) applyConn(sip, dip netmodel.IPv4, dport uint16, v, syn int32) {
 	pl := &p.plans
-	r.RSSipDport.FillPlan(kSipDport, pl.rsSipDport)
-	r.RSDipDport.FillPlan(kDipDport, pl.rsDipDport)
-	r.RSSipDip.FillPlan(kSipDip, pl.rsSipDip)
-	r.VerSipDport.FillPlan(ppSipDport, pl.verSipDport)
-	r.VerDipDport.FillPlan(ppDipDport, pl.verDipDport)
-	r.VerSipDip.FillPlan(ppSipDip, pl.verSipDip)
-	r.TwoDSipDportXDip.FillPlan(ppSipDport, ppDip, pl.twoDSipDportXDip)
-	r.TwoDSipDipXDport.FillPlan(ppSipDip, ppDport, pl.twoDSipDipXDport)
-
+	pl.fillConn(p.ref, sip, dip, dport, syn != 0)
 	k := 0
 	k = p.emitIdx(k, segRSSipDport, pl.rsSipDport.Indices(), v)
 	k = p.emitIdx(k, segRSDipDport, pl.rsDipDport.Indices(), v)
@@ -771,7 +533,6 @@ func (p *Planner) planFused(sip, dip netmodel.IPv4, dport uint16, v, syn int32, 
 	k = p.emitIdx(k, segVerDipDport, pl.verDipDport.Indices(), v)
 	k = p.emitIdx(k, segVerSipDip, pl.verSipDip.Indices(), v)
 	if syn != 0 {
-		r.OSDipDport.FillPlan(ppDipDport, pl.osDipDport)
 		k = p.emitIdx(k, segOSDipDport, pl.osDipDport.Indices(), syn)
 		p.tally.Totals[segOSDipDport] += int64(syn)
 	}
@@ -788,30 +549,50 @@ func (p *Planner) planFused(sip, dip netmodel.IPv4, dport uint16, v, syn int32, 
 	p.tally.Totals[segTwoDSipDportXDip] += dv
 	p.tally.Totals[segTwoDSipDipXDport] += dv
 
-	ki := 0
-	if p.invertible {
-		r.InvSipDport.FillPlan(kSipDport, ppSipDport, pl.invSipDport)
-		r.InvDipDport.FillPlan(kDipDport, ppDipDport, pl.invDipDport)
-		r.InvSipDip.FillPlan(kSipDip, ppSipDip, pl.invSipDip)
-		ki = p.emitInv(ki, segInvSipDport, pl.invSipDport, v)
+	var inv []InvOp
+	if pl.invSipDport != nil {
+		ki := p.emitInv(0, segInvSipDport, pl.invSipDport, v)
 		ki = p.emitInv(ki, segInvDipDport, pl.invDipDport, v)
 		ki = p.emitInv(ki, segInvSipDip, pl.invSipDip, v)
 		p.tally.Totals[segInvSipDport] += dv
 		p.tally.Totals[segInvDipDport] += dv
 		p.tally.Totals[segInvSipDip] += dv
-	}
-
-	acc := p.accBase
-	if syn != 0 {
-		acc += p.accSyn
-	}
-	p.tally.MemoryAccesses += acc * n
-
-	var inv []InvOp
-	if ki > 0 {
 		inv = p.invs[:ki]
 	}
 	p.sink.EmitOps(p.ops[:k], inv)
+}
+
+// applyService emits the service filter's bit-set ops for one
+// {DIP,Dport} key and counts the insertion, mirroring Services.Add.
+//
+//hifind:hot
+func (p *Planner) applyService(key uint64) {
+	m := p.ref.Services.BitPositions(key, p.bloomBuf[:])
+	base := uint32(segServices) << segShift
+	for i := 0; i < m; i++ {
+		p.ops[i] = Op{Loc: base | p.bloomBuf[i], Delta: 0}
+	}
+	p.tally.Totals[segServices]++
+	p.sink.EmitOps(p.ops[:m], nil)
+}
+
+// applyMonitor is the routed burst- or reflection-monitor update: the
+// bucket writes lifted into InvOps under the monitor's own segment (for
+// the burst monitor, the slot the classifier picked from the timestamp,
+// which op batching does not carry).
+//
+//hifind:hot
+func (p *Planner) applyMonitor(seg uint32, key uint64, v int32) {
+	pl := p.plans.reflect
+	if seg == segReflect {
+		p.ref.Reflect.FillPlan(key, sketch.PowersOf(key), pl)
+	} else {
+		pl = p.plans.burst
+		p.ref.Burst.FillPlan(key, sketch.PowersOf(key), pl)
+	}
+	ki := p.emitInv(0, seg, pl, v)
+	p.tally.Totals[seg] += int64(v)
+	p.sink.EmitOps(nil, p.invs[:ki])
 }
 
 // emitIdx appends one op per stage for a uint32-indexed plan.
@@ -852,18 +633,4 @@ func (p *Planner) emitInv(ki int, seg uint32, pl *invsketch.Plan, v int32) int {
 		ki++
 	}
 	return ki
-}
-
-// emitServiceAdd emits the service filter's bit-set ops for one
-// {DIP,Dport} key and counts the insertion, mirroring Services.Add.
-//
-//hifind:hot
-func (p *Planner) emitServiceAdd(key uint64) {
-	m := p.ref.Services.BitPositions(key, p.bloomBuf[:])
-	base := uint32(segServices) << segShift
-	for i := 0; i < m; i++ {
-		p.ops[i] = Op{Loc: base | p.bloomBuf[i], Delta: 0}
-	}
-	p.tally.Totals[segServices]++
-	p.sink.EmitOps(p.ops[:m], nil)
 }

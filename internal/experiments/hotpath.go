@@ -11,10 +11,11 @@ import (
 	"github.com/hifind/hifind/internal/netmodel"
 )
 
-// HotpathBench compares the recorder's two update engines on the same
-// event stream: the legacy engine (per-structure hashing, per-SYN replay
-// of flow records) against the fused engine (shared key powers, cached
-// bucket plans, exact weighted flow updates). Speedups are medians of
+// HotpathBench compares the recorder's two update paths on the same
+// event stream: the legacy reference path (ObserveReference and
+// ObserveFlowReference: per-structure hashing, per-SYN replay of flow
+// records) against the fused path (Observe and ObserveFlow: shared key
+// powers, cached bucket plans, exact weighted flow updates). Speedups are medians of
 // per-window ratios where each window times the two engines back to
 // back, so CPU contention hits both sides of every ratio and largely
 // cancels; they transfer across machines far better than absolute
@@ -94,7 +95,6 @@ func HotpathThroughput(packetEvents, flowRecords int) (HotpathBench, error) {
 	if err != nil {
 		return HotpathBench{}, err
 	}
-	legacy.SetEngine(core.EngineLegacy)
 	fused, err := core.NewRecorder(core.TestRecorderConfig(detectorSeed))
 	if err != nil {
 		return HotpathBench{}, err
@@ -124,7 +124,7 @@ func HotpathThroughput(packetEvents, flowRecords int) (HotpathBench, error) {
 		var p ratePair
 		start := time.Now()
 		for j := lo; j < hi; j++ {
-			legacy.Observe(pkts[j])
+			legacy.ObserveReference(pkts[j])
 		}
 		p.legacy = float64(hi-lo) / time.Since(start).Seconds()
 		start = time.Now()
@@ -148,7 +148,7 @@ func HotpathThroughput(packetEvents, flowRecords int) (HotpathBench, error) {
 		var p ratePair
 		start := time.Now()
 		for j := lo; j < hi; j++ {
-			legacy.ObserveFlow(flows[j])
+			legacy.ObserveFlowReference(flows[j])
 		}
 		p.legacy = float64(hi-lo) / time.Since(start).Seconds()
 		start = time.Now()

@@ -111,12 +111,6 @@ type Config struct {
 	// marks, epoch-barrier latency). Nil costs the hot path nothing: the
 	// metric handles stay nil and their methods are nil-safe no-ops.
 	Telemetry *telemetry.Registry
-	// Engine selects the recorder update-engine tag (default
-	// core.EngineFused). Sharded ingestion always plans through the
-	// fused path — fused and legacy build byte-identical state (the
-	// differential suite proves it), so the choice is an annotation
-	// here, kept for configuration symmetry with sequential mode.
-	Engine core.Engine
 }
 
 // withDefaults fills zero fields.
@@ -260,7 +254,6 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: epoch recorder %d: %w", i, err)
 		}
-		rec.SetEngine(cfg.Engine)
 		e.recs[i] = rec
 		e.views[i] = core.NewShardView(rec)
 	}

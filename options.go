@@ -25,7 +25,6 @@ type config struct {
 	minPersist         int
 	minSynRatio        float64
 	egress             bool
-	legacyEngine       bool
 	invertible         bool
 	flowCache          int
 	burstSlots         int
@@ -191,20 +190,6 @@ func WithMinSynRatio(r float64) Option {
 	}
 }
 
-// WithLegacyEngine selects the original per-sketch update path instead
-// of the fused engine (shared hash powers, precomputed bucket plans,
-// weighted NetFlow updates). Both engines build byte-identical sketch
-// state and emit identical alerts — the differential suite proves it —
-// so this switch exists for that proof and for performance comparison,
-// not as a compatibility knob: recorders on different engines remain
-// combinable across routers.
-func WithLegacyEngine() Option {
-	return func(c *config) error {
-		c.legacyEngine = true
-		return nil
-	}
-}
-
 // WithInvertibleInference selects the invertible-sketch inference engine
 // for offender-key recovery: the recorder additionally maintains
 // bucketized invertible sketches whose buckets fold the flow keys into
@@ -228,22 +213,21 @@ func WithInvertibleInference() Option {
 }
 
 // WithFlowCache installs a bounded exact flow-aggregation cache of the
-// given entry count in front of the fused update engine: per-connection
+// given entry count in front of the sketch updates: per-connection
 // updates accumulate in one table entry and flush into the sketches as
 // exact weighted updates on eviction and at every rotation. Sketch
 // state, alerts, packet counts and the memory-access budget stay
 // byte-identical to the cache-less detector — the differential suite
 // proves it on every golden trace — while skewed (elephant/mice)
 // traffic replaces most per-packet sketch fan-outs with a single cache
-// probe. Entries round up to a power of two; a NewParallel detector
-// gives each worker shard its own cache of this size.
+// probe. Entries round up to a power of two; under NewParallel the
+// cache sits in front of op routing, and every Producer (the main one
+// and each from NewProducer) owns a private cache of this size.
 //
 // Serialized snapshots are always flushed first, so the wire format is
 // unchanged and snapshots interchange freely with cache-less
 // participants; merging live Recorder objects with differing cache
-// configurations, by contrast, fails loudly. The cache is ignored under
-// WithLegacyEngine, which stays the plain per-packet differential
-// witness.
+// configurations, by contrast, fails loudly.
 func WithFlowCache(entries int) Option {
 	return func(c *config) error {
 		if entries < 1 {

@@ -60,11 +60,6 @@ func NewParallel(opts ...Option) (*Parallel, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := core.EngineFused
-	if cfg.legacyEngine {
-		engine = core.EngineLegacy
-		det.Recorder().SetEngine(core.EngineLegacy)
-	}
 	policy := pipeline.Block
 	if cfg.shed {
 		policy = pipeline.Shed
@@ -76,7 +71,6 @@ func NewParallel(opts ...Option) (*Parallel, error) {
 		QueueDepth: cfg.queueDepth,
 		Policy:     policy,
 		Telemetry:  cfg.reg,
-		Engine:     engine,
 	})
 	if err != nil {
 		return nil, err
