@@ -59,7 +59,7 @@ func TestFlowCacheDifferentialGoldenTraces(t *testing.T) {
 						newCompact(t, sc.options(hifind.WithFlowCache(64))...))
 				}},
 				{"cached-workers-3", func(t *testing.T) string {
-					p := newParallelCompact(t, sc.options(hifind.WithWorkers(3),
+					p := newCompact(t, sc.options(hifind.WithWorkers(3),
 						hifind.WithBatchSize(64), hifind.WithFlowCache(4096))...)
 					defer p.Close()
 					return replayGolden(t, capture, edge, p)

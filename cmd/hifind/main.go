@@ -39,17 +39,6 @@ import (
 	"github.com/hifind/hifind/internal/telemetry"
 )
 
-// detector is the shape both hifind.Detector and hifind.Parallel offer;
-// the -workers flag picks which one backs it.
-type detector interface {
-	hifind.Replayable
-	ObserveFlow(hifind.Flow)
-	SaveState() ([]byte, error)
-	LoadState([]byte) error
-	MemoryBytes() int
-	InferenceEngine() string
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "hifind:", err)
@@ -59,22 +48,22 @@ func main() {
 
 func run() error {
 	var (
-		pcapPath  = flag.String("pcap", "", "libpcap capture to analyze")
-		nfPath    = flag.String("netflow", "", "length-delimited NetFlow v5 export file to analyze")
-		listen    = flag.String("listen", "", "UDP address to receive live NetFlow v5 exports on (runs until interrupted)")
-		edge      = flag.String("edge", "", "comma-separated CIDRs of the monitored network (required)")
-		interval  = flag.Duration("interval", time.Minute, "measurement interval")
-		threshold = flag.Float64("threshold", 1, "detection threshold in unresponded SYNs per second")
-		alpha     = flag.Float64("alpha", 0.5, "EWMA smoothing constant")
-		compact   = flag.Bool("compact", false, "use compact (≈1.5MB) sketches instead of the paper's 13.2MB set")
-		inference = flag.String("inference", "reverse", "offender-key recovery engine: reverse (reverse-hashing search) or invertible (O(buckets) sketch decode)")
-		phases    = flag.Bool("phases", false, "print raw and after-classification alerts too")
-		statePath = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (live mode)")
-		workers   = flag.Int("workers", 0, "shard sketch recording across N parallel workers (0 = sequential)")
-		httpAddr  = flag.String("http", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-		jsonOut   = flag.Bool("json", false, "emit alerts and interval summaries as NDJSON on stdout")
-		linger    = flag.Bool("linger", false, "after an offline replay, keep the -http endpoints up until interrupted")
-		flowQueue = flag.Int("flow-queue", 1024, "live mode: capacity of the collector→detector flow queue (flows are dropped, not blocked on, when it is full)")
+		pcapPath   = flag.String("pcap", "", "libpcap capture to analyze")
+		nfPath     = flag.String("netflow", "", "length-delimited NetFlow v5 export file to analyze")
+		listen     = flag.String("listen", "", "UDP address to receive live NetFlow v5 exports on (runs until interrupted)")
+		edge       = flag.String("edge", "", "comma-separated CIDRs of the monitored network (required)")
+		interval   = flag.Duration("interval", time.Minute, "measurement interval")
+		threshold  = flag.Float64("threshold", 1, "detection threshold in unresponded SYNs per second")
+		alpha      = flag.Float64("alpha", 0.5, "EWMA smoothing constant")
+		compact    = flag.Bool("compact", false, "use compact (≈1.5MB) sketches instead of the paper's 13.2MB set")
+		inference  = flag.String("inference", "reverse", "offender-key recovery engine: reverse (reverse-hashing search) or invertible (O(buckets) sketch decode)")
+		phases     = flag.Bool("phases", false, "print raw and after-classification alerts too")
+		statePath  = flag.String("state", "", "checkpoint file: loaded at start if present, saved after every interval (live mode)")
+		workers    = flag.Int("workers", 0, "shard sketch recording across N parallel workers (0 = inline)")
+		httpAddr   = flag.String("http", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090)")
+		jsonOut    = flag.Bool("json", false, "emit alerts and interval summaries as NDJSON on stdout")
+		linger     = flag.Bool("linger", false, "after an offline replay, keep the -http endpoints up until interrupted")
+		flowQueue  = flag.Int("flow-queue", 1024, "live mode: capacity of the collector→detector flow queue (flows are dropped, not blocked on, when it is full)")
 		flowCache  = flag.Int("flowcache", 0, "entries of the exact flow-aggregation cache in front of the sketches (0 = disabled); state and alerts stay byte-identical, skewed traffic records faster")
 		burstSlots = flag.Int("burst-slots", 0, "cut each interval into N sub-interval windows and alert on single-window SYN pulses that stay under the interval threshold (0 = off)")
 		persist    = flag.Bool("persist", false, "detect persistent-and-sparse flows: sources probing below the per-interval threshold interval after interval")
@@ -149,37 +138,24 @@ func run() error {
 	}
 	reg := telemetry.NewRegistry()
 	health := telemetry.NewHealth()
-	opts = append(opts, hifind.WithTelemetry(reg))
+	opts = append(opts, hifind.WithTelemetry(reg), hifind.WithWorkers(*workers))
+	if *listen != "" {
+		// Live capture must never stall the socket reader; a sharded
+		// detector counts overload drops instead (mirroring the
+		// collector's own policy). Inline recording never sheds.
+		opts = append(opts, hifind.WithShedOnOverload())
+	}
 	var sink *telemetry.JSONSink
 	if *jsonOut {
 		sink = telemetry.NewJSONSink(os.Stdout)
 		opts = append(opts, hifind.WithAlertSink(sink))
 	}
-	// det is the sequential or sharded engine behind one detector shape;
-	// both satisfy hifind.Replayable and the live-mode interface.
-	var det detector
-	if *workers > 0 {
-		popts := append(opts, hifind.WithWorkers(*workers))
-		if *listen != "" {
-			// Live capture must never stall the socket reader; count
-			// overload drops instead (mirrors the collector's own policy).
-			popts = append(popts, hifind.WithShedOnOverload())
-		}
-		par, err := hifind.NewParallel(popts...)
-		if err != nil {
-			return err
-		}
-		det = par
-	} else {
-		seq, err := hifind.New(opts...)
-		if err != nil {
-			return err
-		}
-		det = seq
+	det, err := hifind.New(opts...)
+	if err != nil {
+		return err
 	}
 	var srv *telemetry.Server
 	if *httpAddr != "" {
-		var err error
 		srv, err = telemetry.Serve(*httpAddr, reg, health)
 		if err != nil {
 			return err
@@ -261,7 +237,7 @@ func run() error {
 // forwards decoded flows over a channel so the detector stays
 // single-threaded. On SIGINT/SIGTERM the final partial interval is
 // flushed through detection before the source closes.
-func runLive(ctx context.Context, det detector, addr string, edgeCIDRs []string,
+func runLive(ctx context.Context, det *hifind.Detector, addr string, edgeCIDRs []string,
 	interval time.Duration, statePath string, flowQueue int, reg *telemetry.Registry, health *telemetry.Health) error {
 	edge, err := netmodel.NewEdgeNetwork(edgeCIDRs...)
 	if err != nil {
@@ -313,18 +289,21 @@ func runLive(ctx context.Context, det detector, addr string, edgeCIDRs []string,
 			fmt.Printf("  ALERT %s\n", a)
 		}
 	}
+	observe := func(fr netmodel.FlowRecord) {
+		det.ObserveFlow(hifind.Flow{
+			SrcIP:   netip.AddrFrom4(fr.SrcIP.Octets()),
+			DstIP:   netip.AddrFrom4(fr.DstIP.Octets()),
+			SrcPort: fr.SrcPort,
+			DstPort: fr.DstPort,
+			Dir:     hifind.Direction(fr.Dir),
+			SYNs:    fr.SYNs,
+			SYNACKs: fr.SYNACKs,
+		})
+	}
 	for {
 		select {
 		case fr := <-flows:
-			det.ObserveFlow(hifind.Flow{
-				SrcIP:   netip.AddrFrom4(fr.SrcIP.Octets()),
-				DstIP:   netip.AddrFrom4(fr.DstIP.Octets()),
-				SrcPort: fr.SrcPort,
-				DstPort: fr.DstPort,
-				Dir:     hifind.Direction(fr.Dir),
-				SYNs:    fr.SYNs,
-				SYNACKs: fr.SYNACKs,
-			})
+			observe(fr)
 		case <-ticker.C:
 			res, err := det.EndInterval()
 			if err != nil {
@@ -343,8 +322,8 @@ func runLive(ctx context.Context, det detector, addr string, edgeCIDRs []string,
 		case <-ctx.Done():
 			fmt.Println("\nshutting down")
 			// Stop the source first so no flow arrives after the final
-			// detection, then flush the partial interval — the tail of
-			// the stream is detected, not dropped.
+			// detection, then Close runs it over the partial interval —
+			// the tail of the stream is detected, not dropped.
 			if err := collector.Close(); err != nil {
 				return err
 			}
@@ -352,32 +331,19 @@ func runLive(ctx context.Context, det detector, addr string, edgeCIDRs []string,
 			for {
 				select {
 				case fr := <-flows:
-					det.ObserveFlow(hifind.Flow{
-						SrcIP:   netip.AddrFrom4(fr.SrcIP.Octets()),
-						DstIP:   netip.AddrFrom4(fr.DstIP.Octets()),
-						SrcPort: fr.SrcPort,
-						DstPort: fr.DstPort,
-						Dir:     hifind.Direction(fr.Dir),
-						SYNs:    fr.SYNs,
-						SYNACKs: fr.SYNACKs,
-					})
+					observe(fr)
 					continue
 				default:
 				}
 				break
 			}
-			res, err := det.EndInterval()
+			res, err := det.Close()
 			if err != nil {
 				return err
 			}
 			report(res)
-			if par, ok := det.(*hifind.Parallel); ok {
-				if _, err := par.Close(); err != nil {
-					return err
-				}
-				if shed := par.Shed(); shed > 0 {
-					fmt.Printf("%d events shed under overload\n", shed)
-				}
+			if shed := det.Shed(); shed > 0 {
+				fmt.Printf("%d events shed under overload\n", shed)
 			}
 			return nil
 		}

@@ -42,7 +42,7 @@ func TestEngineDifferentialGoldenTraces(t *testing.T) {
 			if name != "benign-only" && want == "" {
 				t.Fatal("sequential replay produced no output; the equivalence would be vacuous")
 			}
-			p := newParallelCompact(t, sc.options(hifind.WithWorkers(3), hifind.WithBatchSize(64))...)
+			p := newCompact(t, sc.options(hifind.WithWorkers(3), hifind.WithBatchSize(64))...)
 			defer p.Close()
 			if got := replayGolden(t, capture, edge, p); got != want {
 				t.Errorf("workers-3 diverged from sequential:\n%s", goldenDiff(want, got))

@@ -24,10 +24,14 @@
 // Because every recording structure is linear, per-router state can be
 // serialized (Recorder, StateSnapshot) and summed at a central site
 // (EndIntervalMerged) to detect attacks split across asymmetric routes —
-// see examples/multirouter.
+// see examples/multirouter. The same linearity lets one detector shard
+// its recording across cores: New(WithWorkers(n)) partitions every
+// sketch's buckets among n workers, with alerts and checkpoints
+// byte-identical to inline recording.
 package hifind
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync/atomic"
@@ -35,6 +39,7 @@ import (
 
 	"github.com/hifind/hifind/internal/core"
 	"github.com/hifind/hifind/internal/netmodel"
+	"github.com/hifind/hifind/internal/pipeline"
 	"github.com/hifind/hifind/internal/telemetry"
 )
 
@@ -220,47 +225,87 @@ type Result struct {
 	Partial bool
 }
 
-// Detector is a complete HiFIND instance. The sketch-recording path is
-// not safe for concurrent use: Observe, ObserveFlow and EndInterval
-// must all run on one goroutine (or be externally serialized). Callers
-// that want multiple feeding goroutines should use NewParallel, which
-// shards recording across workers and merges losslessly by sketch
-// linearity. Only Dropped may be called concurrently with ingestion;
-// its counter is atomic.
+// Detector is a complete HiFIND instance. By default it records inline:
+// Observe, ObserveFlow and EndInterval must then all run on one
+// goroutine (or be externally serialized). WithWorkers(n), n ≥ 1,
+// instead shards recording across n worker goroutines
+// (internal/pipeline): producers hash each packet once and route
+// per-bucket counter deltas to the worker owning that slice of every
+// sketch's buckets. Counter updates on disjoint cells commute, so the
+// rotated state — and with it every alert and every SaveState
+// checkpoint — is bit-identical to inline recording
+// (TestShardedIdentityMatrix proves it); the worker count is a speed
+// setting, not an accuracy trade. A sharded detector's Observe and
+// ObserveFlow still feed one internal producer from one goroutine at a
+// time; give each further feeding goroutine its own NewProducer
+// handle. EndInterval, SaveState and Close must not run concurrently
+// with ingestion. Dropped and Shed may be read at any time.
 type Detector struct {
 	det      *core.Detector
 	rcfg     core.RecorderConfig
 	interval time.Duration
-	dropped  atomic.Int64
-	ins      instruments
-	sink     telemetry.Sink
+	// eng and main are nil on an inline detector. When sharded, main is
+	// the default producer and det's own recorder records nothing: it
+	// only carries the service history SaveState checkpoints.
+	eng     *pipeline.Engine
+	main    *pipeline.Producer
+	closed  bool
+	dropped atomic.Int64
+	ins     instruments
+	sink    telemetry.Sink
 }
 
 // New builds a detector with the paper's default configuration (13.2 MB
-// of sketches, one-minute intervals, one un-responded SYN per second).
+// of sketches, one-minute intervals, one un-responded SYN per second),
+// recording inline unless WithWorkers asks for shards.
 func New(opts ...Option) (*Detector, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	rcfg, dcfg := cfg.build()
 	det, err := core.NewDetector(rcfg, dcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{
+	d := &Detector{
 		det:      det,
 		rcfg:     rcfg,
 		interval: cfg.interval,
 		ins:      newInstruments(cfg.reg),
 		sink:     cfg.sink,
-	}, nil
+	}
+	if cfg.workers > 0 {
+		policy := pipeline.Block
+		if cfg.shed {
+			policy = pipeline.Shed
+		}
+		d.eng, err = pipeline.New(pipeline.Config{
+			Recorder:   rcfg,
+			Workers:    cfg.workers,
+			BatchSize:  cfg.batchSize,
+			QueueDepth: cfg.queueDepth,
+			Policy:     policy,
+			Telemetry:  cfg.reg,
+		})
+		if err != nil {
+			return nil, err
+		}
+		d.main = d.eng.NewProducer()
+	}
+	return d, nil
 }
 
 // Interval returns the configured interval length.
 func (d *Detector) Interval() time.Duration { return d.interval }
+
+// Workers returns the shard count: 0 for an inline detector.
+func (d *Detector) Workers() int {
+	if d.eng == nil {
+		return 0
+	}
+	return d.eng.Workers()
+}
 
 // InferenceEngine names the active offender-key recovery engine:
 // "reverse" (reversible-sketch search, the default) or "invertible"
@@ -275,12 +320,10 @@ func (d *Detector) InferenceEngine() string { return d.det.InferenceEngine().Str
 func (d *Detector) Observe(p Packet) {
 	ip, ok := p.toInternal()
 	if !ok {
-		d.dropped.Add(1)
-		d.ins.dropped.Inc()
+		d.drop()
 		return
 	}
-	d.det.Observe(ip)
-	d.ins.packets.Inc()
+	d.observeInternal(ip)
 }
 
 // Flow is a NetFlow-style unidirectional flow summary, the alternative
@@ -322,45 +365,79 @@ func (f Flow) toInternal() (netmodel.FlowRecord, bool) {
 func (d *Detector) ObserveFlow(f Flow) {
 	fr, ok := f.toInternal()
 	if !ok {
-		d.dropped.Add(1)
-		d.ins.dropped.Inc()
+		d.drop()
 		return
 	}
-	d.det.ObserveFlow(fr)
-	d.ins.flows.Inc()
+	d.observeFlowInternal(fr)
 }
 
-// Dropped returns how many packets were ignored as non-IPv4. Safe to
-// call concurrently with ingestion.
+// Dropped returns how many packets were ignored as non-IPv4, summed
+// atomically across all producers. Safe to call concurrently with
+// ingestion.
 func (d *Detector) Dropped() int64 { return d.dropped.Load() }
 
-// observeInternal feeds a pre-converted packet (replay path).
+// drop counts one non-IPv4 packet or flow.
+func (d *Detector) drop() {
+	d.dropped.Add(1)
+	d.ins.dropped.Inc()
+}
+
+// observeInternal records a pre-converted packet (the replay path and
+// Observe): inline, or through the default producer when sharded.
+//
+//hifind:hot
 func (d *Detector) observeInternal(pkt netmodel.Packet) {
-	d.det.Observe(pkt)
+	if d.main != nil {
+		d.main.Ingest(pipeline.Event{Pkt: pkt})
+	} else {
+		d.det.Observe(pkt)
+	}
 	d.ins.packets.Inc()
 }
 
-// observeFlowInternal feeds a pre-converted flow record (replay path).
+// observeFlowInternal records a pre-converted flow record (the replay
+// path and ObserveFlow).
+//
+//hifind:hot
 func (d *Detector) observeFlowInternal(fr netmodel.FlowRecord) {
-	d.det.ObserveFlow(fr)
+	if d.main != nil {
+		d.main.Ingest(pipeline.Event{Flow: fr, IsFlow: true})
+	} else {
+		d.det.ObserveFlow(fr)
+	}
 	d.ins.flows.Inc()
 }
 
+// Shed returns how many events WithShedOnOverload dropped at admission
+// (always 0 inline, and under the default blocking policy except for
+// events racing Close).
+func (d *Detector) Shed() int64 {
+	if d.eng == nil {
+		return 0
+	}
+	return d.eng.Shed()
+}
+
 // MemoryBytes returns the total sketch memory, which is independent of
-// traffic volume — the basis of HiFIND's DoS resilience.
-func (d *Detector) MemoryBytes() int { return d.det.Recorder().MemoryBytes() }
+// traffic volume — the basis of HiFIND's DoS resilience. A sharded
+// detector adds the engine's active/spare epoch recorder pair, whatever
+// the worker count.
+func (d *Detector) MemoryBytes() int {
+	n := d.det.Recorder().MemoryBytes()
+	if d.eng != nil {
+		n += d.eng.MemoryBytes()
+	}
+	return n
+}
 
 // EndInterval closes the current measurement interval, runs detection and
-// resets the recording structures for the next interval.
+// resets the recording structures for the next interval. When sharded,
+// it flushes the default producer and cuts the epoch across all shards:
+// every event ingested before EndInterval lands in this interval.
+// Producers from NewProducer must be flushed by their owners first, or
+// their partial batches carry into the next interval.
 func (d *Detector) EndInterval() (Result, error) {
-	res, err := d.det.EndInterval()
-	if err != nil {
-		return Result{}, err
-	}
-	d.ins.recordInterval(res)
-	out := convertResult(res)
-	emitResult(d.sink, out)
-	return out, nil
+	return d.endInterval(false, nil)
 }
 
 // EndIntervalMerged runs detection over the sum of this detector's own
@@ -368,28 +445,83 @@ func (d *Detector) EndInterval() (Result, error) {
 // multi-router deployment of paper §3.1/Figure 3). All participants must
 // have been built with the same options, in particular the same seed.
 func (d *Detector) EndIntervalMerged(states ...[]byte) (Result, error) {
-	merged, err := core.NewRecorder(d.rcfg)
-	if err != nil {
-		return Result{}, err
+	return d.endInterval(false, states)
+}
+
+// Close runs one final detection over whatever the unfinished interval
+// recorded, so no accepted event is silently lost — inline, the result
+// is what EndInterval would return. When sharded it first shuts the
+// engine down: producers blocked on backpressure are released and the
+// workers drain their queues and exit. The detector is unusable
+// afterwards; closing twice returns an error.
+func (d *Detector) Close() (Result, error) {
+	return d.endInterval(true, nil)
+}
+
+// endInterval is the one interval close behind EndInterval,
+// EndIntervalMerged and Close. It takes the local recorder (the
+// detector's own, or the sharded engine's rotated epoch — its leftover
+// epoch on the final close), sums any remote states into a fresh
+// recorder with it, and runs detection. When sharded it then copies
+// the epoch's active-service memory back into the detector's own
+// recorder, so checkpoints match the inline detector's byte for byte,
+// and recycles the epoch.
+func (d *Detector) endInterval(final bool, states [][]byte) (Result, error) {
+	if d.closed {
+		return Result{}, errors.New("hifind: detector closed")
 	}
-	if err := merged.Merge(d.det.Recorder()); err != nil {
-		return Result{}, err
-	}
-	for i, state := range states {
-		rec, err := core.NewRecorder(d.rcfg)
+	d.closed = final
+	local := d.det.Recorder()
+	if d.eng != nil {
+		d.main.Flush()
+		var err error
+		if final {
+			local, err = d.eng.Close()
+		} else {
+			local, err = d.eng.Rotate()
+		}
 		if err != nil {
 			return Result{}, err
 		}
-		if err := rec.UnmarshalBinary(state); err != nil {
-			return Result{}, fmt.Errorf("hifind: state %d: %w", i, err)
+	}
+	rec := local
+	if len(states) > 0 {
+		var err error
+		if rec, err = core.NewRecorder(d.rcfg); err != nil {
+			return Result{}, err
 		}
-		if err := merged.Merge(rec); err != nil {
-			return Result{}, fmt.Errorf("hifind: state %d: %w", i, err)
+		if err := rec.Merge(local); err != nil {
+			return Result{}, err
+		}
+		for i, state := range states {
+			remote, err := core.NewRecorder(d.rcfg)
+			if err != nil {
+				return Result{}, err
+			}
+			if err := remote.UnmarshalBinary(state); err != nil {
+				return Result{}, fmt.Errorf("hifind: state %d: %w", i, err)
+			}
+			if err := rec.Merge(remote); err != nil {
+				return Result{}, fmt.Errorf("hifind: state %d: %w", i, err)
+			}
 		}
 	}
-	res, err := d.det.EndIntervalWith(merged)
+	res, err := d.det.EndIntervalWith(rec)
 	if err != nil {
 		return Result{}, err
+	}
+	if d.eng != nil {
+		// Reset+Union is a copy, insertion count included.
+		own := d.det.Recorder().Services
+		own.Reset()
+		if err := own.Union(local.Services); err != nil {
+			return Result{}, fmt.Errorf("hifind: sharded services: %w", err)
+		}
+		if !final {
+			if err := d.eng.Recycle(); err != nil {
+				return Result{}, err
+			}
+		}
 	}
 	d.ins.recordInterval(res)
 	out := convertResult(res)
@@ -399,16 +531,24 @@ func (d *Detector) EndIntervalMerged(states ...[]byte) (Result, error) {
 
 // SaveState serializes the detector's cross-interval state — EWMA
 // forecasts, active-service memory, alert persistence — so a restarted
-// process can resume without re-learning (see LoadState). Call it at
-// interval boundaries, right after EndInterval.
+// process can resume without re-learning (see LoadState). Inline and
+// sharded detectors built with the same options write interchangeable
+// checkpoints. Call it at interval boundaries, right after EndInterval.
 func (d *Detector) SaveState() ([]byte, error) {
 	return d.det.MarshalState()
 }
 
 // LoadState restores state saved by SaveState into a detector built with
-// the same options.
+// the same options. A sharded detector must load before ingestion
+// starts: the restored active-service memory is seeded into every shard.
 func (d *Detector) LoadState(state []byte) error {
-	return d.det.RestoreState(state)
+	if err := d.det.RestoreState(state); err != nil {
+		return err
+	}
+	if d.eng == nil {
+		return nil
+	}
+	return d.eng.SeedServices(d.det.Recorder().Services)
 }
 
 // Recorder is a recording-only HiFIND instance for edge routers in an
@@ -424,11 +564,9 @@ type Recorder struct {
 // NewRecorder builds a recording-only instance. Use the same options as
 // the central Detector.
 func NewRecorder(opts ...Option) (*Recorder, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	rcfg, _ := cfg.build()
 	rec, err := core.NewRecorder(rcfg)

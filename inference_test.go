@@ -48,7 +48,7 @@ func TestInferenceDifferentialGoldenTraces(t *testing.T) {
 						newCompact(t, sc.options(hifind.WithInvertibleInference())...))
 				}},
 				{"invertible-workers-3", func(t *testing.T) string {
-					p := newParallelCompact(t, sc.options(hifind.WithWorkers(3),
+					p := newCompact(t, sc.options(hifind.WithWorkers(3),
 						hifind.WithBatchSize(64), hifind.WithInvertibleInference())...)
 					defer p.Close()
 					return replayGolden(t, capture, edge, p)
@@ -76,7 +76,7 @@ func TestInferenceEngineAccessors(t *testing.T) {
 	if got := newCompact(t, hifind.WithInvertibleInference()).InferenceEngine(); got != "invertible" {
 		t.Fatalf("invertible engine = %q, want invertible", got)
 	}
-	p := newParallelCompact(t, hifind.WithWorkers(2), hifind.WithInvertibleInference())
+	p := newCompact(t, hifind.WithWorkers(2), hifind.WithInvertibleInference())
 	defer p.Close()
 	if got := p.InferenceEngine(); got != "invertible" {
 		t.Fatalf("parallel invertible engine = %q, want invertible", got)

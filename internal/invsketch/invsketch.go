@@ -332,9 +332,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	seed := binary.LittleEndian.Uint64(data[16:])
 	total := int64(binary.LittleEndian.Uint64(data[24:]))
+	// Bound the cell count by the body before multiplying, so no header
+	// can wrap want or size an allocation the payload does not carry.
+	if params.Stages > (len(data)-32)/4/params.Buckets/params.Fields() {
+		return fmt.Errorf("invsketch: %d×%d×%d counters exceed the %d-byte body",
+			params.Stages, params.Buckets, params.Fields(), len(data)-32)
+	}
 	rowLen := params.Buckets * params.Fields()
-	want := 32 + 4*params.Stages*rowLen
-	if len(data) != want {
+	if want := 32 + 4*params.Stages*rowLen; len(data) != want {
 		return fmt.Errorf("invsketch: body length %d, want %d", len(data), want)
 	}
 	fresh, err := New(params, seed)

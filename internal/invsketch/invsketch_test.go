@@ -2,7 +2,9 @@ package invsketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/hifind/hifind/internal/sketch"
@@ -404,5 +406,41 @@ func TestEstimateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Estimate allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestUnmarshalRejectsOversizedHeader feeds headers whose counter grid
+// exceeds the body, including products that wrap int back to the
+// header size: each must fail before anything is sized from the header,
+// allocating no more than the payload plus an error value.
+func TestUnmarshalRejectsOversizedHeader(t *testing.T) {
+	header := func(fields ...uint32) []byte { // KeyBits, Stages, Buckets
+		b := binary.LittleEndian.AppendUint32(nil, sketchMagic)
+		for _, f := range fields {
+			b = binary.LittleEndian.AppendUint32(b, f)
+		}
+		return append(b, make([]byte, 16)...) // seed, total
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^31x2^31", header(64, 1<<31, 1<<31)},
+		{"15x2^31, no body", header(64, 15, 1<<31)},
+		{"15x2^31, 4 MiB of body", append(header(64, 15, 1<<31), make([]byte, 4<<20)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s Sketch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := s.UnmarshalBinary(tc.data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("oversized header accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(tc.data))+1024 {
+				t.Errorf("allocated %d bytes decoding a %d-byte payload", grew, len(tc.data))
+			}
+		})
 	}
 }

@@ -342,8 +342,8 @@ func (e *Engine) MemoryBytes() int {
 }
 
 // SeedServices unions an active-service filter into the engine's
-// cross-epoch accumulator — the restore-from-checkpoint path
-// (hifind.Parallel.LoadState). The seeded services appear in every
+// cross-epoch accumulator — the restore-from-checkpoint path (a sharded
+// hifind.Detector.LoadState). The seeded services appear in every
 // subsequent epoch's rotated recorder.
 func (e *Engine) SeedServices(f *bloom.Filter) error {
 	e.ctl.Lock()
@@ -369,7 +369,7 @@ func (e *Engine) SeedServices(f *bloom.Filter) error {
 //
 // Events sitting in un-flushed producer batches are not part of the
 // epoch — callers wanting exact interval boundaries flush their
-// producers first (hifind.Parallel.EndInterval does).
+// producers first (a sharded hifind.Detector.EndInterval does).
 func (e *Engine) Rotate() (*core.Recorder, error) {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
@@ -416,8 +416,8 @@ func (e *Engine) Rotate() (*core.Recorder, error) {
 
 // Recycle resets the recorder of the last rotated epoch, making it the
 // spare for the next Rotate. Call it once the caller is done with the
-// recorder Rotate returned (hifind.Parallel calls it right after
-// detection); the recorder is invalid afterwards.
+// recorder Rotate returned (a sharded hifind.Detector calls it right
+// after detection); the recorder is invalid afterwards.
 func (e *Engine) Recycle() error {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()

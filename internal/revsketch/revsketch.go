@@ -380,8 +380,12 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	seed := binary.LittleEndian.Uint64(data[20:])
 	total := int64(binary.LittleEndian.Uint64(data[28:]))
-	want := 36 + 4*params.Stages*params.Buckets
-	if len(data) != want {
+	// Bound the cell count by the body before multiplying, so no header
+	// can wrap want or size an allocation the payload does not carry.
+	if params.Stages > (len(data)-36)/4/params.Buckets {
+		return fmt.Errorf("revsketch: %d×%d counters exceed the %d-byte body", params.Stages, params.Buckets, len(data)-36)
+	}
+	if want := 36 + 4*params.Stages*params.Buckets; len(data) != want {
 		return fmt.Errorf("revsketch: body length %d, want %d", len(data), want)
 	}
 	fresh, err := New(params, seed)

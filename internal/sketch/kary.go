@@ -251,11 +251,16 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	seed := binary.LittleEndian.Uint64(data[12:])
 	total := int64(binary.LittleEndian.Uint64(data[20:]))
-	want := 28 + 4*params.Stages*params.Buckets
 	if err := params.Validate(); err != nil {
 		return fmt.Errorf("sketch: unmarshal: %w", err)
 	}
-	if len(data) != want {
+	// Bound the cell count by the body before multiplying: a crafted
+	// 2³¹×2³¹ header would otherwise wrap want back to the header size
+	// and send New after the whole address space.
+	if params.Stages > (len(data)-28)/4/params.Buckets {
+		return fmt.Errorf("sketch: %d×%d counters exceed the %d-byte body", params.Stages, params.Buckets, len(data)-28)
+	}
+	if want := 28 + 4*params.Stages*params.Buckets; len(data) != want {
 		return fmt.Errorf("sketch: body length %d, want %d", len(data), want)
 	}
 	fresh, err := New(params, seed)

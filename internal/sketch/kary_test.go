@@ -1,8 +1,10 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -369,5 +371,41 @@ func TestOccupancy(t *testing.T) {
 	var nilS *Sketch
 	if nilS.Occupancy() != 0 {
 		t.Fatal("nil sketch occupancy must be 0")
+	}
+}
+
+// TestUnmarshalRejectsOversizedHeader feeds headers whose counter grid
+// exceeds the body, including products that wrap int back to the
+// header size: each must fail before anything is sized from the header,
+// allocating no more than the payload plus an error value.
+func TestUnmarshalRejectsOversizedHeader(t *testing.T) {
+	header := func(fields ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, sketchMagic)
+		for _, f := range fields {
+			b = binary.LittleEndian.AppendUint32(b, f)
+		}
+		return append(b, make([]byte, 16)...) // seed, total
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^31x2^31 wraps to the header size", header(1<<31, 1<<31)},
+		{"2^31 stages, one cell of body", append(header(1<<31, 2), 0, 0, 0, 0)},
+		{"2^20x2^20, 4 MiB of body", append(header(1<<20, 1<<20), make([]byte, 4<<20)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s Sketch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := s.UnmarshalBinary(tc.data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("oversized header accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(tc.data))+1024 {
+				t.Errorf("allocated %d bytes decoding a %d-byte payload", grew, len(tc.data))
+			}
+		})
 	}
 }

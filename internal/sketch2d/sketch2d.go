@@ -335,8 +335,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	seed := binary.LittleEndian.Uint64(data[16:])
 	total := int64(binary.LittleEndian.Uint64(data[24:]))
-	want := 32 + 4*params.Stages*params.XBuckets*params.YBuckets
-	if len(data) != want {
+	// Bound the cell count by the body before multiplying: a crafted
+	// 2³¹×2³¹ matrix would otherwise wrap want back to the header size.
+	if params.Stages > (len(data)-32)/4/params.XBuckets/params.YBuckets {
+		return fmt.Errorf("sketch2d: %d×%d×%d counters exceed the %d-byte body",
+			params.Stages, params.XBuckets, params.YBuckets, len(data)-32)
+	}
+	if want := 32 + 4*params.Stages*params.XBuckets*params.YBuckets; len(data) != want {
 		return fmt.Errorf("sketch2d: body length %d, want %d", len(data), want)
 	}
 	fresh, err := New(params, seed)

@@ -1,7 +1,9 @@
 package sketch2d
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -324,4 +326,40 @@ func mustNewQuick(p Params, seed uint64) *Sketch {
 		panic(err)
 	}
 	return s
+}
+
+// TestUnmarshalRejectsOversizedHeader feeds headers whose counter grid
+// exceeds the body, including products that wrap int back to the
+// header size: each must fail before anything is sized from the header,
+// allocating no more than the payload plus an error value.
+func TestUnmarshalRejectsOversizedHeader(t *testing.T) {
+	header := func(fields ...uint32) []byte { // Stages, XBuckets, YBuckets
+		b := binary.LittleEndian.AppendUint32(nil, sketchMagic)
+		for _, f := range fields {
+			b = binary.LittleEndian.AppendUint32(b, f)
+		}
+		return append(b, make([]byte, 16)...) // seed, total
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^31x2^31 wraps to the header size", header(1, 1<<31, 1<<31)},
+		{"2^31x2^31x2^31 wraps to the header size", header(1<<31, 1<<31, 1<<31)},
+		{"2^10x2^10x2^10, 4 MiB of body", append(header(1<<10, 1<<10, 1<<10), make([]byte, 4<<20)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s Sketch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := s.UnmarshalBinary(tc.data)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("oversized header accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(tc.data))+1024 {
+				t.Errorf("allocated %d bytes decoding a %d-byte payload", grew, len(tc.data))
+			}
+		})
+	}
 }

@@ -14,6 +14,7 @@ func TestConcurrentMetricOps(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_total", "")
 	g := r.Gauge("race_gauge", "")
+	hw := r.Gauge("race_high_water", "")
 	h := r.Histogram("race_seconds", "", DefBuckets)
 
 	const workers = 8
@@ -26,7 +27,7 @@ func TestConcurrentMetricOps(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Add(1)
 				g.Set(float64(i))
-				g.SetMax(float64(w*iters + i))
+				hw.SetMax(float64(w*iters + i))
 				h.Observe(float64(i) / 1000)
 			}
 		}(w)
@@ -57,8 +58,10 @@ func TestConcurrentMetricOps(t *testing.T) {
 	if h.Count() != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*iters)
 	}
-	if g.Value() < float64((workers-1)*iters) {
-		t.Fatalf("SetMax high-water lost: %v", g.Value())
+	// Set and SetMax write separate gauges: a late Set on a shared gauge
+	// would legitimately lower the high-water mark.
+	if want := float64(workers*iters - 1); hw.Value() != want {
+		t.Fatalf("SetMax high-water = %v, want %v", hw.Value(), want)
 	}
 }
 

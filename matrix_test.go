@@ -93,7 +93,7 @@ func TestShardedIdentityMatrix(t *testing.T) {
 							opts = append(opts, hifind.WithFlowCache(cache))
 							variant = fmt.Sprintf("workers-%d/cached", workers)
 						}
-						p := newParallelCompact(t, opts...)
+						p := newCompact(t, opts...)
 						check(variant, p)
 						if _, err := p.Close(); err != nil {
 							t.Fatal(err)

@@ -30,7 +30,8 @@ type config struct {
 	burstSlots         int
 	persistScan        bool
 	reflection         bool
-	// Parallel-only knobs (NewParallel); New ignores them.
+	// Sharding knobs: workers 0 records inline, and an inline
+	// detector ignores the other three.
 	workers    int
 	batchSize  int
 	queueDepth int
@@ -51,6 +52,17 @@ func defaultConfig() config {
 
 // Option customizes a Detector or Recorder.
 type Option func(*config) error
+
+// newConfig applies opts over the defaults.
+func newConfig(opts []Option) (config, error) {
+	cfg := defaultConfig()
+	for _, o := range opts {
+		if err := o(&cfg); err != nil {
+			return config{}, err
+		}
+	}
+	return cfg, nil
+}
 
 // WithSeed sets the hash seed. Every HiFIND instance that participates in
 // one aggregated deployment must share the seed, or their sketches cannot
@@ -220,9 +232,10 @@ func WithInvertibleInference() Option {
 // byte-identical to the cache-less detector — the differential suite
 // proves it on every golden trace — while skewed (elephant/mice)
 // traffic replaces most per-packet sketch fan-outs with a single cache
-// probe. Entries round up to a power of two; under NewParallel the
-// cache sits in front of op routing, and every Producer (the main one
-// and each from NewProducer) owns a private cache of this size.
+// probe. Entries round up to a power of two; on a sharded detector
+// (WithWorkers) the cache sits in front of op routing, and every
+// producer (the default one and each from NewProducer) owns a private
+// cache of this size.
 //
 // Serialized snapshots are always flushed first, so the wire format is
 // unchanged and snapshots interchange freely with cache-less
@@ -284,24 +297,27 @@ func WithReflectionDetection() Option {
 	}
 }
 
-// WithWorkers sets the shard count of a NewParallel detector (default
-// runtime.GOMAXPROCS(0)). A sequential Detector ignores it.
+// WithWorkers shards recording across n worker goroutines, n ≥ 1 (see
+// Detector). The default, 0, records inline on the calling goroutine.
+// Sketch memory is two recorder sets more than inline (an active/spare
+// flip-flop pair shared by all workers), so the paper's 13.2 MB becomes
+// ≈40 MB — fixed, traffic-independent and independent of n.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("hifind: workers %d < 1", n)
+		if n < 0 {
+			return fmt.Errorf("hifind: workers %d < 0", n)
 		}
 		c.workers = n
 		return nil
 	}
 }
 
-// WithBatchSize sets how many routed counter ops a parallel producer
+// WithBatchSize sets how many routed counter ops a sharded producer
 // accumulates per worker before shipping the batch (default 256; one
 // packet expands to roughly a dozen ops across the recording
 // structures). Larger batches amortize hand-off cost; smaller ones
-// tighten interval boundaries for un-flushed producers. A sequential
-// Detector ignores it.
+// tighten interval boundaries for un-flushed producers. An inline
+// detector ignores it.
 func WithBatchSize(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -313,7 +329,7 @@ func WithBatchSize(n int) Option {
 }
 
 // WithQueueDepth sets how many batches buffer per worker (default 4).
-// A sequential Detector ignores it.
+// An inline detector ignores it.
 func WithQueueDepth(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -324,14 +340,14 @@ func WithQueueDepth(n int) Option {
 	}
 }
 
-// WithShedOnOverload makes parallel producers drop (and count — see
-// Parallel.Shed) whole events at admission when any worker queue is
+// WithShedOnOverload makes sharded producers drop (and count — see
+// Detector.Shed) whole events at admission when any worker queue is
 // full, instead of blocking. Dropping before planning means a shed
 // event touches no structure at all — sketch state never tears. Use
 // for live capture, where stalling the reader would make the kernel
 // drop the packets anyway; keep the default blocking policy for
-// offline replay, which should be lossless. A sequential Detector
-// ignores it.
+// offline replay, which should be lossless. An inline detector ignores
+// it.
 func WithShedOnOverload() Option {
 	return func(c *config) error {
 		c.shed = true
@@ -340,7 +356,7 @@ func WithShedOnOverload() Option {
 }
 
 // WithTelemetry attaches a metrics registry. The detector registers its
-// hifind_* series (and a Parallel its pipeline_* series) on it and keeps
+// hifind_* series (and, when sharded, its pipeline_* series) on it and keeps
 // them current: packet/flow counters on the hot path, rotation duration,
 // alert counts by type, sketch occupancy and inference candidate gauges
 // at each interval end. Without this option the hot path carries nil

@@ -107,13 +107,19 @@ func sequentialBaseline(t *testing.T, intervals [][]netmodel.Packet) ([]hifind.R
 	return results, states
 }
 
-func newParallelCompact(t *testing.T, opts ...hifind.Option) *hifind.Parallel {
+// newProducers opens n ingestion handles on a sharded detector, on the
+// test goroutine so a failure can stop the test.
+func newProducers(t *testing.T, d *hifind.Detector, n int) []*hifind.Producer {
 	t.Helper()
-	p, err := hifind.NewParallel(append([]hifind.Option{hifind.WithCompactSketches()}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
+	prods := make([]*hifind.Producer, n)
+	for i := range prods {
+		pr, err := d.NewProducer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prods[i] = pr
 	}
-	return p
+	return prods
 }
 
 // TestParallelEquivalence is the linearity proof in test form: the same
@@ -134,7 +140,7 @@ func TestParallelEquivalence(t *testing.T) {
 		t.Fatal("baseline produced no alerts; the equivalence would be vacuous")
 	}
 	for _, workers := range []int{1, 4, 7} {
-		par := newParallelCompact(t, hifind.WithWorkers(workers), hifind.WithBatchSize(64))
+		par := newCompact(t, hifind.WithWorkers(workers), hifind.WithBatchSize(64))
 		if par.Workers() != workers {
 			t.Fatalf("workers = %d, want %d", par.Workers(), workers)
 		}
@@ -172,19 +178,18 @@ func TestParallelEquivalenceMultiProducer(t *testing.T) {
 	intervals := equivTrace(t)
 	wantResults, wantStates := sequentialBaseline(t, intervals)
 	const producers = 3
-	par := newParallelCompact(t, hifind.WithWorkers(4), hifind.WithBatchSize(32))
+	par := newCompact(t, hifind.WithWorkers(4), hifind.WithBatchSize(32))
 	for i, pkts := range intervals {
 		var wg sync.WaitGroup
-		for g := 0; g < producers; g++ {
+		for g, pr := range newProducers(t, par, producers) {
 			wg.Add(1)
-			go func(g int) {
+			go func(g int, pr *hifind.Producer) {
 				defer wg.Done()
-				pr := par.NewProducer()
 				for j := g; j < len(pkts); j += producers {
 					pr.Observe(toPublic(pkts[j]))
 				}
 				pr.Flush()
-			}(g)
+			}(g, pr)
 		}
 		wg.Wait()
 		res, err := par.EndInterval()
@@ -226,7 +231,7 @@ func TestParallelStateInterchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := newParallelCompact(t, hifind.WithWorkers(4))
+	par := newCompact(t, hifind.WithWorkers(4))
 	if err := par.LoadState(checkpoint); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +291,7 @@ func TestParallelReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := newParallelCompact(t, hifind.WithWorkers(4))
+	par := newCompact(t, hifind.WithWorkers(4))
 	parRes, err := hifind.ReplayPcap(capture(), []string{"129.105.0.0/16"}, par)
 	if err != nil {
 		t.Fatal(err)
@@ -308,20 +313,19 @@ func TestParallelReplay(t *testing.T) {
 // events count atomically across producers, Close runs one final
 // detection over the unfinished interval, and a closed detector errors.
 func TestParallelDroppedAndClose(t *testing.T) {
-	par := newParallelCompact(t, hifind.WithWorkers(2))
+	par := newCompact(t, hifind.WithWorkers(2))
 	v6 := netip.MustParseAddr("2001:db8::1")
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for _, pr := range newProducers(t, par, 3) {
 		wg.Add(1)
-		go func() {
+		go func(pr *hifind.Producer) {
 			defer wg.Done()
-			pr := par.NewProducer()
 			for i := 0; i < 10; i++ {
 				pr.Observe(hifind.Packet{SrcIP: v6, DstIP: v6, SYN: true, Dir: hifind.Inbound})
 				pr.ObserveFlow(hifind.Flow{SrcIP: v6, DstIP: v6, SYNs: 1, Dir: hifind.Inbound})
 			}
 			pr.Flush()
-		}()
+		}(pr)
 	}
 	wg.Wait()
 	if par.Dropped() != 60 {
@@ -351,24 +355,128 @@ func TestParallelDroppedAndClose(t *testing.T) {
 	}
 }
 
+// TestParallelOptionsValidation pins the worker options: 0 workers (the
+// default) records inline, n ≥ 1 shards n ways, and negative counts,
+// empty batches and empty queues are rejected.
 func TestParallelOptionsValidation(t *testing.T) {
 	bad := [][]hifind.Option{
-		{hifind.WithWorkers(0)},
 		{hifind.WithWorkers(-2)},
 		{hifind.WithBatchSize(0)},
 		{hifind.WithQueueDepth(0)},
 	}
 	for i, opts := range bad {
-		if _, err := hifind.NewParallel(opts...); err == nil {
+		if _, err := hifind.New(opts...); err == nil {
 			t.Errorf("bad option set %d accepted", i)
 		}
 	}
-	// The sequential constructor tolerates (and ignores) parallel knobs.
-	d, err := hifind.New(hifind.WithCompactSketches(), hifind.WithWorkers(4), hifind.WithShedOnOverload())
+	for _, tc := range []struct {
+		opts    []hifind.Option
+		workers int
+	}{
+		{nil, 0},
+		{[]hifind.Option{hifind.WithWorkers(0), hifind.WithShedOnOverload(), hifind.WithBatchSize(8)}, 0},
+		{[]hifind.Option{hifind.WithWorkers(4)}, 4},
+	} {
+		d := newCompact(t, tc.opts...)
+		if d.Workers() != tc.workers {
+			t.Errorf("Workers() = %d, want %d", d.Workers(), tc.workers)
+		}
+		if _, err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestInlineClose: Close on an inline detector is one last EndInterval,
+// and the detector is closed afterwards, exactly like a sharded one.
+func TestInlineClose(t *testing.T) {
+	intervals := equivTrace(t)
+	want, _ := sequentialBaseline(t, intervals[:2])
+	d := newCompact(t)
+	for _, p := range intervals[0] {
+		d.Observe(toPublic(p))
+	}
+	if _, err := d.EndInterval(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range intervals[1] {
+		d.Observe(toPublic(p))
+	}
+	res, err := d.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Interval() != time.Minute {
-		t.Error("sequential detector misconfigured by parallel options")
+	if !reflect.DeepEqual(stripTimes(res), want[1]) {
+		t.Errorf("Close result differs from EndInterval's\n got %+v\nwant %+v", stripTimes(res), want[1])
+	}
+	if _, err := d.Close(); err == nil {
+		t.Error("second Close succeeded")
+	}
+	if _, err := d.EndInterval(); err == nil {
+		t.Error("EndInterval succeeded after Close")
+	}
+}
+
+// TestNewProducerNeedsShards: an inline detector has no engine for a
+// producer to feed.
+func TestNewProducerNeedsShards(t *testing.T) {
+	if _, err := newCompact(t).NewProducer(); err == nil {
+		t.Fatal("NewProducer on an inline detector succeeded")
+	}
+}
+
+// TestShardedEndIntervalMerged splits every interval between the
+// detector and a remote Recorder and merges the remote snapshot in with
+// EndIntervalMerged: a 3-worker detector must match the inline one in
+// alerts and in SaveState bytes at every interval.
+func TestShardedEndIntervalMerged(t *testing.T) {
+	intervals := equivTrace(t)
+	inline := newCompact(t)
+	sharded := newCompact(t, hifind.WithWorkers(3), hifind.WithBatchSize(64))
+	defer sharded.Close()
+	remote, err := hifind.NewRecorder(hifind.WithCompactSketches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawAlert := false
+	for i, pkts := range intervals {
+		for j, p := range pkts {
+			if j%2 == 0 {
+				remote.Observe(toPublic(p))
+			} else {
+				inline.Observe(toPublic(p))
+				sharded.Observe(toPublic(p))
+			}
+		}
+		state, err := remote.StateSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := inline.EndIntervalMerged(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sharded.EndIntervalMerged(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawAlert = sawAlert || len(want.Final) > 0
+		if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
+			t.Errorf("interval %d: sharded merged results diverge\n got %+v\nwant %+v", i, stripTimes(got), stripTimes(want))
+		}
+		wantState, err := inline.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotState, err := sharded.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotState, wantState) {
+			t.Errorf("interval %d: sharded merged checkpoint not bit-identical", i)
+		}
+	}
+	if !sawAlert {
+		t.Fatal("merged baseline produced no alerts; the equivalence would be vacuous")
 	}
 }

@@ -67,7 +67,7 @@ func TestDetectorTelemetry(t *testing.T) {
 
 func TestParallelTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	par, err := NewParallel(WithCompactSketches(), WithWorkers(2), WithBatchSize(8),
+	par, err := New(WithCompactSketches(), WithWorkers(2), WithBatchSize(8),
 		WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
@@ -100,19 +100,25 @@ func TestParallelTelemetry(t *testing.T) {
 }
 
 // TestInstrumentedObserveAllocFree pins the instrumented per-packet
-// path at zero allocations: the counters are pre-registered atomics, so
-// attaching telemetry must not hand the GC any per-packet garbage.
+// path at zero allocations, inline and sharded: the counters are
+// pre-registered atomics and op batches recycle, so attaching telemetry
+// must not hand the GC any per-packet garbage.
 func TestInstrumentedObserveAllocFree(t *testing.T) {
-	det, err := New(WithCompactSketches(), WithTelemetry(telemetry.NewRegistry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := synPacket(netip.MustParseAddr("8.8.4.4"), netip.MustParseAddr("192.168.0.1"), 80)
-	allocs := testing.AllocsPerRun(1000, func() {
-		det.Observe(pkt)
-	})
-	if allocs != 0 {
-		t.Errorf("instrumented Observe allocates %v times per packet, want 0", allocs)
+	for _, workers := range []int{0, 2} {
+		det, err := New(WithCompactSketches(), WithWorkers(workers), WithTelemetry(telemetry.NewRegistry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt := synPacket(netip.MustParseAddr("8.8.4.4"), netip.MustParseAddr("192.168.0.1"), 80)
+		allocs := testing.AllocsPerRun(1000, func() {
+			det.Observe(pkt)
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: instrumented Observe allocates %v times per packet, want 0", workers, allocs)
+		}
+		if _, err := det.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
